@@ -17,7 +17,6 @@ from .engine import (
     increment_suffix,
     label_chain,
     labeled_tableau,
-    lex_cmp,
     prepend_labels,
     reading_order,
     seq_weight,

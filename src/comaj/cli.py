@@ -318,9 +318,10 @@ def _verify_tasks(args) -> list:
 def cmd_verify(args) -> int:
     jobs = args.jobs or int(os.environ.get("COMAJ_JOBS", "1"))
     tasks = _verify_tasks(args)
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (jobs * 4))
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (workers * 4))
             lines = list(pool.map(_run_verify_task, tasks, chunksize=chunk))
     else:
         lines = [_run_verify_task(task) for task in tasks]

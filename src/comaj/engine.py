@@ -51,15 +51,6 @@ def seqlist(seqs) -> SeqList:
     return s
 
 
-def lex_cmp(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """-1, 0 or 1 comparing equal-length tuples lexicographically."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {a!r} vs {b!r}")
-    if a < b:
-        return -1
-    return 1 if a > b else 0
-
-
 @lru_cache(maxsize=None)
 def _run_ids(R: frozenset[int], n: int) -> tuple[int, ...]:
     """Run id of each index 1..n; a run breaks after index i when i not in R."""
@@ -212,8 +203,8 @@ def reading_order(R, S: SeqList) -> Perm:
 def increment_suffix(R, sigma: Perm, i: int, S: SeqList) -> SeqList:
     """Add 1 to the first coordinate of every sequence read after position i.
 
-    Requires sigma to be the reading order of S (checked under assert)
-    and 0 <= i <= n - 1; the weight gained is n - i in the variable
+    Requires sigma to be the reading order of S and 0 <= i <= n - 1, and
+    raises ValueError otherwise; the weight gained is n - i in the variable
     paired with the first coordinate.  Reading order and the descents of
     the trailing coordinates are unchanged.
     """
@@ -223,7 +214,8 @@ def increment_suffix(R, sigma: Perm, i: int, S: SeqList) -> SeqList:
         raise ValueError("sequences need a first coordinate to increment")
     if not 0 <= i <= n - 1:
         raise ValueError(f"threshold out of range 0..{n - 1}: {i}")
-    assert reading_order(R, S) == sigma, "sigma must be the reading order of S"
+    if reading_order(R, S) != tuple(sigma):
+        raise ValueError(f"sigma must be the reading order of S: {sigma!r}")
     bumped = {sigma[j] for j in range(i, n)}
     return tuple(
         ((s[0] + 1,) + s[1:]) if idx in bumped else s

@@ -4,155 +4,92 @@ The fundamental quasisymmetric value F_{n,R} at the all-monomial
 alphabet is the sum of q^S over sequence lists S in (N^k)^n whose
 reading order is the identity.  That condition is equivalent to a
 multichain in the lexicographic order on k-tuples: s^i <= s^{i+1}, with
-strict inequality exactly at positions in R.  The Schur value is the
-same sum accumulated over the descent sets of all standard tableaux of
-the shape.
+strict inequality required at the positions in R.  The weight of a
+chain element s is q^{reversed(s)}: coordinate 1 pairs with q_k.  The
+Schur value is the same sum accumulated over the descent sets of all
+standard tableaux of the shape.
 
-Chains with total entry sum <= D are counted by a transfer DP over the
-monomials of degree <= D: one pass per chain position, a prefix sum
-along the lexicographic axis (shifted by one row for strict steps), and
-a reindexing that multiplies by the chosen monomial's weight.  The
-weight of a chain element s is q^{reversed(s)}: coordinate 1 pairs with
-q_k.  The DP runs on int64 arrays when the combinatorial bound
-C(M + n - 1, n) on every intermediate count fits comfortably, and falls
-back to exact Python integers otherwise.
+Chains are counted by peeling off the first coordinate, which is
+Stanley's P-partition formula (EC2 §7.19) applied once per coordinate.
+The first coordinates a_1 <= ... <= a_n weakly increase; let P be the
+set of positions i where a_i < a_{i+1}.  Summing q_k^{a_1 + ... + a_n}
+over the first coordinates whose ascent set is exactly P gives
+
+    q_k^{sum_{i in P} (n - i)} / ((1 - q_k^n) prod_{i in P} (1 - q_k^{n - i})).
+
+The cuts in P split 1..n into blocks on which the first coordinate is
+constant.  Inside a block the other k - 1 coordinates form a chain that
+is strict at the positions of R inside the block; across a cut the
+chain is already strict, whether or not the cut lies in R.  The series
+is the sum over P of that factor times the product of the blocks'
+(k - 1)-coordinate series.  At k = 0 every element is the empty tuple,
+so the one chain counts exactly when R is empty.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
-
-import numpy as np
+from itertools import combinations
 
 from .qpoly import QPoly, Truncation
 from .tableaux import Partition, partition, standard_tableaux
 
-_INT64_SAFE = 2**62
-_MATRIX_CELL_LIMIT = 80_000_000
-
-
-def _monomials(k: int, D: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int) -> None:
-        if len(prefix) == k:
-            out.append(prefix)
-            return
-        for v in range(remaining + 1):
-            extend(prefix + (v,), remaining - v)
-
-    extend((), D)
-    out.sort()
-    return out
-
-
-@lru_cache(maxsize=None)
-def _chain_tables(k: int, D: int):
-    """Shared index tables for the transfer DP at one (k, D)."""
-    lex = _monomials(k, D)
-    graded = sorted(lex, key=lambda e: (sum(e), e))
-    gidx = {e: i for i, e in enumerate(graded)}
-    count_upto = [0] * (D + 1)
-    for e in graded:
-        count_upto[sum(e)] += 1
-    for d in range(1, D + 1):
-        count_upto[d] += count_upto[d - 1]
-    # tgt[m][g] = graded index of graded[g] + reversed(lex[m]), for every
-    # source g whose degree still fits under the bound.
-    targets = []
-    for m in lex:
-        rev = m[::-1]
-        limit = count_upto[D - sum(m)]
-        targets.append(
-            np.fromiter(
-                (gidx[tuple(x + y for x, y in zip(graded[g], rev))] for g in range(limit)),
-                dtype=np.int64,
-                count=limit,
-            )
-        )
-    return lex, graded, gidx, targets
-
 
 def fundamental_principal_series(R, n: int, trunc: Truncation) -> QPoly:
     """Truncated sum of q^S over S in (N^k)^n read in identity order."""
-    k, D = trunc
     Rf = frozenset(R)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if any(not (1 <= i <= n - 1) for i in Rf):
         raise ValueError(f"R must be a subset of 1..{n - 1}: {sorted(Rf)!r}")
-    return _fundamental_cached(tuple(sorted(Rf)), n, trunc)
+    trunc = Truncation(*trunc)
+    return _chains(tuple(sorted(Rf)), n, trunc.k, trunc)
 
 
 @lru_cache(maxsize=None)
-def _fundamental_cached(R: tuple[int, ...], n: int, trunc: Truncation) -> QPoly:
+def _chains(R: tuple[int, ...], n: int, k: int, trunc: Truncation) -> QPoly:
+    """Lex multichains of length n in N^k strict at R; coordinate 1 pairs with q_k."""
+    if k == 0:
+        return QPoly.zero(*trunc) if R else QPoly.one(*trunc)
+    total = QPoly.zero(*trunc)
+    for size in range(n):
+        for P in combinations(range(1, n), size):
+            shift = sum(n - i for i in P)
+            if shift > trunc.D:
+                continue
+            factor = QPoly.variable(trunc.k, trunc.D, k, shift)
+            for i in P:
+                factor = factor * _geometric(k, n - i, trunc)
+            total = total + factor * _blocks(_block_signature(R, n, P), k - 1, trunc)
+    return total * _geometric(k, n, trunc)
+
+
+def _block_signature(R: tuple[int, ...], n: int, P: tuple[int, ...]):
+    """(R inside the block shifted to start at 1, block length) per block of the cuts P."""
+    blocks = []
+    start = 1
+    for end in (*P, n):
+        inner = tuple(i - start + 1 for i in R if start <= i < end)
+        blocks.append((inner, end - start + 1))
+        start = end + 1
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _blocks(signature, k: int, trunc: Truncation) -> QPoly:
+    """Product of the k-coordinate chain series of the blocks in a signature."""
+    if not signature:
+        return QPoly.one(*trunc)
+    (R, n), rest = signature[0], signature[1:]
+    return _chains(R, n, k, trunc) * _blocks(rest, k, trunc)
+
+
+def _geometric(var: int, c: int, trunc: Truncation) -> QPoly:
+    """1 / (1 - q_var^c), truncated."""
     k, D = trunc
-    lex, graded, gidx, targets = _chain_tables(k, D)
-    M = len(lex)
-    use_arrays = M * M <= _MATRIX_CELL_LIMIT and comb(M + n - 1, n) < _INT64_SAFE
-    if use_arrays:
-        totals = _chain_dp_arrays(set(R), n, M, targets)
-    else:
-        totals = _chain_dp_python(set(R), n, lex, graded, D)
-    terms = {graded[g]: int(c) for g, c in enumerate(totals) if c}
-    return QPoly(k, D, terms)
-
-
-def _chain_dp_arrays(R: set[int], n: int, M: int, targets) -> list[int]:
-    state = np.zeros((M, M), dtype=np.int64)
-    for mi in range(M):
-        state[mi, targets[mi][0]] = 1  # length-1 chains: exponent reversed(m)
-    for position in range(2, n + 1):
-        prefix = np.cumsum(state, axis=0)
-        if (position - 1) in R:
-            shifted = np.zeros_like(prefix)
-            shifted[1:] = prefix[:-1]
-            prefix = shifted
-        state = np.zeros((M, M), dtype=np.int64)
-        for mi in range(M):
-            tgt = targets[mi]
-            if len(tgt):
-                state[mi, tgt] = prefix[mi, : len(tgt)]
-    totals = state.sum(axis=0)
-    if totals.size and totals.min() < 0:
-        raise ArithmeticError("chain count overflow")  # guarded by the comb bound
-    return totals.tolist()
-
-
-def _chain_dp_python(R: set[int], n: int, lex, graded, D: int) -> list[int]:
-    M = len(lex)
-    rows: list[dict[tuple[int, ...], int]] = [
-        {m[::-1]: 1} for m in lex
-    ]
-    for position in range(2, n + 1):
-        strict = (position - 1) in R
-        acc: dict[tuple[int, ...], int] = {}
-        new_rows: list[dict[tuple[int, ...], int]] = []
-        for mi in range(M):
-            if not strict:
-                for e, c in rows[mi].items():
-                    acc[e] = acc.get(e, 0) + c
-            rev = lex[mi][::-1]
-            budget = D - sum(rev)
-            new_rows.append(
-                {
-                    tuple(x + y for x, y in zip(e, rev)): c
-                    for e, c in acc.items()
-                    if sum(e) <= budget
-                }
-            )
-            if strict:
-                for e, c in rows[mi].items():
-                    acc[e] = acc.get(e, 0) + c
-        rows = new_rows
-    totals_map: dict[tuple[int, ...], int] = {}
-    for row in rows:
-        for e, c in row.items():
-            totals_map[e] = totals_map.get(e, 0) + c
-    gidx = {e: i for i, e in enumerate(graded)}
-    totals = [0] * M
-    for e, c in totals_map.items():
-        totals[gidx[e]] = c
-    return totals
+    return QPoly(
+        k, D, {(0,) * (var - 1) + (d * c,) + (0,) * (k - var): 1 for d in range(D // c + 1)}
+    )
 
 
 def schur_principal_by_tableaux(lam: Partition, trunc: Truncation) -> QPoly:

@@ -152,9 +152,6 @@ class QPoly:
         self._check_compat(other)
         return self.terms == other.terms
 
-    def equals(self, other: QPoly) -> bool:
-        return self == other
-
     def rebound(self, D: int) -> QPoly:
         """Same polynomial under a new degree bound (truncating if smaller)."""
         return QPoly(self.k, D, self.terms)

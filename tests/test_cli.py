@@ -215,3 +215,32 @@ def test_jobs_env_fallback(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 0
     assert len(out.strip().splitlines()) == 4
+
+
+def test_jobs_capped_by_cpus_and_tasks(capsys, monkeypatch):
+    # a fake pool records the requested size and runs the tasks inline
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    args = ["verify", "row", "--max-n", "2", "--max-k", "2", "--jobs", "5000"]  # 4 tasks
+    for cpus, expected in [(3, 3), (64, 4)]:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli.main(args) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+        assert sizes.pop() == expected
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert cli.main(args) == 0
+    assert sizes == []

@@ -19,14 +19,6 @@ def all_subsets(n: int):
 
 # -- comparisons and neighbors -------------------------------------------------
 
-def test_lex_cmp():
-    assert engine.lex_cmp((0, 2, 0), (3, 1, 2)) == -1
-    assert engine.lex_cmp((1, 1), (1, 1)) == 0
-    assert engine.lex_cmp((2, 0), (1, 9)) == 1
-    with pytest.raises(ValueError):
-        engine.lex_cmp((1,), (1, 2))
-
-
 def test_neighbors():
     R = frozenset({3, 4, 6})
     assert engine.are_neighbors(R, 7, 3, 5)
@@ -262,6 +254,8 @@ def test_increment_suffix_validation():
         engine.increment_suffix(frozenset(), (1, 2), 2, S)
     with pytest.raises(ValueError):
         engine.increment_suffix(frozenset(), (1, 2), 0, engine.empty_seqlist(2))
+    with pytest.raises(ValueError):
+        engine.increment_suffix(frozenset(), (2, 1), 0, S)  # reading order is (1, 2)
 
 
 def _boxes(n: int, r: int, bound: int):

@@ -1,14 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
-from comaj.enumeration import (
-    _chain_dp_arrays,
-    _chain_dp_python,
-    _chain_tables,
-    fundamental_principal_series,
-    schur_principal_by_tableaux,
-)
+import comaj
+from comaj.enumeration import fundamental_principal_series, schur_principal_by_tableaux
 from comaj.qpoly import QPoly, Truncation, pochhammer, schur_principal_jt
 
 
@@ -53,54 +51,51 @@ def test_matches_jacobi_trudi():
         assert schur_principal_by_tableaux(lam, trunc) == schur_principal_jt(lam, trunc)
 
 
-def test_array_and_python_paths_agree():
-    cases = [
-        (frozenset(), 3, 1, 6),
-        (frozenset({1}), 3, 2, 5),
-        (frozenset({1, 2}), 3, 2, 4),
-        (frozenset({2}), 4, 2, 4),
-        (frozenset({1, 3}), 4, 3, 3),
-    ]
-    for R, n, k, D in cases:
-        lex, graded, gidx, targets = _chain_tables(k, D)
-        fast = _chain_dp_arrays(set(R), n, len(lex), targets)
-        slow = _chain_dp_python(set(R), n, lex, graded, D)
-        assert fast == slow
+def _bounded_lists(n: int, k: int, D: int):
+    """Every n-tuple of k-tuples of naturals with total entry sum <= D."""
+    if n == 0:
+        yield ()
+        return
+    for s in itertools.product(range(D + 1), repeat=k):
+        if sum(s) <= D:
+            for rest in _bounded_lists(n - 1, k, D - sum(s)):
+                yield (s,) + rest
 
 
 def test_reading_condition_matches_brute_force():
-    # direct enumeration over a bounded box as an independent oracle
+    # direct enumeration of bounded sequence lists as an independent oracle
     from comaj import engine
 
-    k, D = 2, 4
-    t = Truncation(k, D)
-    for n in (2, 3):
-        for R in [frozenset(), frozenset({1}), frozenset(range(1, n))]:
-            expected: dict = {}
-            for flat in itertools.product(range(D + 1), repeat=n * k):
-                S = tuple(flat[i * k : (i + 1) * k] for i in range(n))
-                if sum(flat) > D:
-                    continue
-                if engine.reading_order(R, S) != tuple(range(1, n + 1)):
-                    continue
-                e = engine.seq_weight(S, k)
-                expected[e] = expected.get(e, 0) + 1
-            assert fundamental_principal_series(R, n, t) == QPoly(k, D, expected)
+    cases = [(R, n, 2, 4) for n in (2, 3) for R in [(), (1,), tuple(range(1, n))]]
+    cases += [
+        ((), 3, 1, 6),
+        ((1,), 3, 2, 5),
+        ((1, 2), 3, 2, 4),
+        ((2,), 4, 2, 4),
+        ((1, 3), 4, 3, 3),
+    ]
+    for R, n, k, D in cases:
+        expected: dict = {}
+        for S in _bounded_lists(n, k, D):
+            if engine.reading_order(R, S) != tuple(range(1, n + 1)):
+                continue
+            e = engine.seq_weight(S, k)
+            expected[e] = expected.get(e, 0) + 1
+        assert fundamental_principal_series(R, n, Truncation(k, D)) == QPoly(k, D, expected)
 
 
-def test_fallback_path_through_public_api(monkeypatch):
-    from comaj import enumeration
-
-    t = Truncation(2, 5)
-    expected = fundamental_principal_series(frozenset({1}), 3, t)
-    monkeypatch.setattr(enumeration, "_MATRIX_CELL_LIMIT", 0)
-    enumeration._fundamental_cached.cache_clear()
-    try:
-        assert fundamental_principal_series(frozenset({1}), 3, t) == expected
-    finally:
-        enumeration._fundamental_cached.cache_clear()
+def test_import_does_not_load_numpy():
+    src = os.path.dirname(os.path.dirname(comaj.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, comaj; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_invalid_descent_positions():
     with pytest.raises(ValueError):
         fundamental_principal_series(frozenset({3}), 2, Truncation(1, 3))
+    with pytest.raises(ValueError):
+        fundamental_principal_series(frozenset(), 0, Truncation(1, 3))
