@@ -10,8 +10,8 @@ from .characters import centralizer_size, character
 from .engine import (
     LabeledTableau,
     are_neighbors,
+    chain_steps,
     comaj_components,
-    comaj_total,
     descents,
     empty_seqlist,
     increment_suffix,
@@ -21,8 +21,6 @@ from .engine import (
     reading_order,
     seq_weight,
     seqlist,
-    tableau_comaj_components,
-    tableau_comaj_total,
     zero_comaj_perm,
 )
 from .enumeration import fundamental_principal_series, schur_principal_by_tableaux

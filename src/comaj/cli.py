@@ -20,8 +20,6 @@ from . import engine, identities, perm
 from .qpoly import QPoly, Truncation, schur_principal_jt
 from .tableaux import StandardTableau, hook_length_count, partition, partitions, standard_tableaux
 
-SUITES = ("finite", "kronecker", "quasi", "row", "prop41", "reindex", "all")
-
 
 def parse_partition_arg(text: str) -> tuple[int, ...]:
     try:
@@ -102,16 +100,14 @@ def cmd_stat(args) -> int:
         T = candidates[0]
     n = T.n
     R = T.descent_set()
-    k = len(sigmas) + 1
-    steps = []
-    S = engine.empty_seqlist(n)
-    for sigma in (*sigmas, perm.identity(n)):
-        D = engine.descents(R, S, sigma)
-        c = sum(n - i for i in D)
-        S = engine.prepend_labels(R, sigma, S)
-        steps.append({"sigma": sigma, "descents": D, "comaj": c, "chain": S})
+    steps = [
+        {"sigma": sigma, "descents": positions, "comaj": sum(n - i for i in positions), "chain": S}
+        for sigma, (positions, S) in zip(
+            (*sigmas, perm.identity(n)), engine.chain_steps(R, n, sigmas)
+        )
+    ]
     components = tuple(step["comaj"] for step in steps)
-    weight = engine.seq_weight(S, k)
+    weight = engine.seq_weight(steps[-1]["chain"], len(steps))
     if args.format == "json":
         obj = {
             "shape": list(shape),
@@ -120,7 +116,7 @@ def cmd_stat(args) -> int:
             "steps": [
                 {
                     "sigma": list(step["sigma"]),
-                    "descents": sorted(step["descents"]),
+                    "descents": step["descents"],
                     "comaj": step["comaj"],
                     "chain": [list(s) for s in step["chain"]],
                 }
@@ -238,81 +234,79 @@ def _all_subsets(n: int):
             yield frozenset(combo)
 
 
-def _run_verify_task(task) -> str:
-    kind, payload = task
-    if kind == "finite":
-        lam, k, D = payload
-        trunc = None if D is None else Truncation(k, D)
-        report = identities.verify_finite_evaluation(lam, k, trunc)
-    elif kind == "kronecker":
-        lam, k = payload
-        report = identities.verify_kronecker_multiplicity(lam, k)
-    elif kind == "quasi":
-        R, n, k, D = payload
-        report = identities.verify_fundamental_evaluation(R, n, k, Truncation(k, D))
-    elif kind == "row":
-        n, k = payload
-        report = identities.verify_row_case(n, k)
-    elif kind == "prop41":
-        R, n, target, sigma, r, bound = payload
-        report = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
-    elif kind == "reindex":
-        lam, m = payload
-        report = identities.verify_variable_reindex(lam, m)
-    else:
-        raise ValueError(f"unknown verification task {kind!r}")
-    return report.to_json_line()
+def _ns(args) -> list[int]:
+    return [args.n] if args.n else list(range(1, args.max_n + 1))
 
 
-def _verify_tasks(args) -> list:
-    suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
-    ns = [args.n] if args.n else list(range(1, args.max_n + 1))
-    ks = [args.k] if args.k else list(range(1, args.max_k + 1))
-    lams = None
+def _ks(args) -> list[int]:
+    return [args.k] if args.k else list(range(1, args.max_k + 1))
+
+
+def _lams(args) -> list[tuple[int, ...]]:
     if args.lambda_:
-        lams = [parse_partition_arg(args.lambda_)]
-    tasks = []
-    for suite in suites:
-        if suite == "finite":
-            for lam in lams or (lam for n in ns for lam in partitions(n)):
-                for k in ks:
-                    tasks.append(("finite", (lam, k, args.D)))
-        elif suite == "kronecker":
-            for lam in lams or (lam for n in ns for lam in partitions(n)):
-                for k in ks:
-                    tasks.append(("kronecker", (lam, k)))
-        elif suite == "quasi":
-            for n in ns:
-                rsets = [parse_set_arg(args.r_set)] if args.r_set is not None else list(
-                    _all_subsets(n)
-                )
-                for R in rsets:
-                    for k in ks:
-                        D = args.D if args.D is not None else identities.exact_degree_bound(n, k)
-                        tasks.append(("quasi", (R, n, k, D)))
-        elif suite == "row":
-            for n in ns:
-                for k in ks:
-                    tasks.append(("row", (n, k)))
-        elif suite == "prop41":
-            for n in [x for x in ns if x >= 2]:
-                rs = [args.r] if args.r else [1, 2]
-                rsets = [parse_set_arg(args.r_set)] if args.r_set is not None else list(
-                    _all_subsets(n)
-                )
-                for r in rs:
-                    for R in rsets:
-                        for target in _all_subsets(n):
-                            for sigma in perm.symmetric_group(n):
-                                tasks.append(
-                                    ("prop41", (R, n, target, sigma, r, args.bound))
-                                )
-        elif suite == "reindex":
-            ms = [args.m] if args.m else list(range(1, max(args.max_k, 2)))
-            for lam in lams or (lam for n in ns for lam in partitions(n)):
-                for m in ms:
-                    tasks.append(("reindex", (lam, m)))
-    return tasks
+        return [parse_partition_arg(args.lambda_)]
+    return [lam for n in _ns(args) for lam in partitions(n)]
+
+
+def _rsets(args, n: int) -> list[frozenset[int]]:
+    if args.r_set is not None:
+        return [parse_set_arg(args.r_set)]
+    return list(_all_subsets(n))
+
+
+# Suite name -> (the identities.verify_* function that runs its tasks, that
+# function's argument tuples for the parsed options), in the order "all" runs
+# the suites.  The function is looked up by name when a task runs, so a module
+# attribute replaced after import is the one called.
+SUITES = {
+    "finite": ("verify_finite_evaluation", lambda a: (
+        (lam, k, None if a.D is None else Truncation(k, a.D))
+        for lam in _lams(a) for k in _ks(a)
+    )),
+    "kronecker": ("verify_kronecker_multiplicity", lambda a: (
+        (lam, k) for lam in _lams(a) for k in _ks(a)
+    )),
+    "quasi": ("verify_fundamental_evaluation", lambda a: (
+        (R, n, k, Truncation(k, identities.exact_degree_bound(n, k) if a.D is None else a.D))
+        for n in _ns(a) for R in _rsets(a, n) for k in _ks(a)
+    )),
+    "row": ("verify_row_case", lambda a: (
+        (n, k) for n in _ns(a) for k in _ks(a)
+    )),
+    "prop41": ("verify_injection_recursion", lambda a: (
+        (R, n, target, sigma, r, a.bound)
+        for n in _ns(a) if n >= 2
+        for r in ([a.r] if a.r else [1, 2])
+        for R in _rsets(a, n)
+        for target in _all_subsets(n)
+        for sigma in perm.symmetric_group(n)
+    )),
+    "reindex": ("verify_variable_reindex", lambda a: (
+        (lam, m) for lam in _lams(a) for m in ([a.m] if a.m else range(1, max(a.max_k, 2)))
+    )),
+}
+
+
+def _verify_tasks(args) -> list[tuple[str, tuple]]:
+    """(verify function name, its arguments) for every report, in stream order."""
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    return [(SUITES[s][0], payload) for s in suites for payload in SUITES[s][1](args)]
+
+
+def _run_verify_task(task) -> tuple[bool, str]:
+    """Whether the task's report passed, and its JSON line."""
+    name, payload = task
+    report = getattr(identities, name)(*payload)
+    return report.passed, report.to_json_line()
+
+
+def _collect(results) -> tuple[list[str], bool]:
+    """The report lines in task order, and whether every report passed."""
+    lines, passed = [], True
+    for ok, line in results:
+        lines.append(line)
+        passed = passed and ok
+    return lines, passed
 
 
 def cmd_verify(args) -> int:
@@ -322,13 +316,11 @@ def cmd_verify(args) -> int:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 4))
-            lines = list(pool.map(_run_verify_task, tasks, chunksize=chunk))
+            lines, passed = _collect(pool.map(_run_verify_task, tasks, chunksize=chunk))
     else:
-        lines = [_run_verify_task(task) for task in tasks]
-    text = "".join(line + "\n" for line in lines)
-    _emit(text, args.output)
-    failed = sum(1 for line in lines if '"status":"fail"' in line)
-    return 1 if failed else 0
+        lines, passed = _collect(map(_run_verify_task, tasks))
+    _emit("".join(line + "\n" for line in lines), args.output)
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mult.set_defaults(handler=cmd_multiplicity)
 
     p_verify = sub.add_parser("verify", help="run identity suites")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=3)
     p_verify.add_argument("--max-k", dest="max_k", type=int, default=2)
     p_verify.add_argument("--lambda", dest="lambda_")

@@ -17,8 +17,8 @@ the two are equal and exactly one of these tie rules fires:
 Strict lexicographic ordering plus that tie rule also defines the
 reading order of S, the permutation listing indices from smallest to
 largest.  ``prepend_labels`` turns descent counts into a new leading
-coordinate on every sequence; chains of such steps produce the labeled
-fillings whose coordinate sums are the comaj components.
+coordinate on every sequence; ``chain_steps`` takes a chain of such
+steps, whose final filling has the comaj components as coordinate sums.
 """
 
 from __future__ import annotations
@@ -83,12 +83,10 @@ def _check_seqs(S: SeqList, n: int) -> None:
         raise ValueError("sequences must share one length")
 
 
-def _descent_positions(R: frozenset[int], S: SeqList, sigma: Perm) -> list[int]:
-    n = len(sigma)
-    _check_seqs(S, n)
-    run = _run_ids(R, n)
+def _descent_positions(run: tuple[int, ...], S: SeqList, sigma: Perm) -> list[int]:
+    """Increasing descent positions; trusts S to hold len(sigma) equal-length sequences."""
     out = []
-    for i in range(1, n):
+    for i in range(1, len(sigma)):
         a, b = sigma[i - 1], sigma[i]
         sa, sb = S[a - 1], S[b - 1]
         if sa > sb:
@@ -103,28 +101,34 @@ def _descent_positions(R: frozenset[int], S: SeqList, sigma: Perm) -> list[int]:
     return out
 
 
+def _checked_positions(R, S: SeqList, sigma: Perm) -> list[int]:
+    n = len(sigma)
+    _check_seqs(S, n)
+    return _descent_positions(_run_ids(_check_r(R, n), n), S, sigma)
+
+
 def descents(R, S: SeqList, sigma: Perm) -> frozenset[int]:
     """Generalized descent set of sigma relative to (R, S)."""
-    return frozenset(_descent_positions(_check_r(R, len(sigma)), S, sigma))
+    return frozenset(_checked_positions(R, S, sigma))
 
 
 def comaj(R, S: SeqList, sigma: Perm) -> int:
     """Sum of (n - i) over the generalized descents."""
     n = len(sigma)
-    return sum(n - i for i in _descent_positions(_check_r(R, n), S, sigma))
+    return sum(n - i for i in _checked_positions(R, S, sigma))
 
 
-def _labels(descent_positions: list[int], sigma: Perm) -> list[int]:
-    """Label index sigma_1 with 0, increasing by 1 after each descent."""
+def _prepend(positions: list[int], sigma: Perm, S: SeqList) -> SeqList:
+    """Label index sigma_1 with 0, add 1 after each descent, prepend the labels."""
     n = len(sigma)
     lab = [0] * n
-    dset = set(descent_positions)
+    dset = set(positions)
     cur = 0
     for i in range(1, n):
         if i in dset:
             cur += 1
         lab[sigma[i] - 1] = cur
-    return lab
+    return tuple((lab[i],) + S[i] for i in range(n))
 
 
 def prepend_labels(R, sigma: Perm, S: SeqList) -> SeqList:
@@ -132,26 +136,34 @@ def prepend_labels(R, sigma: Perm, S: SeqList) -> SeqList:
 
     The sum of the new coordinates equals comaj(R, S, sigma).
     """
-    n = len(sigma)
-    Rf = _check_r(R, n)
-    lab = _labels(_descent_positions(Rf, S, sigma), sigma)
-    return tuple((lab[i],) + S[i] for i in range(n))
+    return _prepend(_checked_positions(R, S, sigma), sigma, S)
 
 
-def label_chain(R, n: int, sigmas, close_with_identity: bool = True) -> SeqList:
-    """Iterate prepend_labels from the empty list over a permutation vector.
+def chain_steps(R, n: int, sigmas):
+    """The steps of the label chain closed by the identity, as they are taken.
 
-    With ``close_with_identity`` a final step with the identity is
-    applied, producing the filling whose coordinate sums are the k comaj
-    components (k = len(sigmas) + 1).
+    Starting from the empty list, each permutation of ``(*sigmas,
+    identity(n))`` in turn yields its increasing generalized descent
+    positions against the current list and the list after
+    ``prepend_labels``.  The step's comaj component is the sum of
+    (n - i) over the positions; the last list is the closed chain.  R
+    and the permutation sizes are checked once, before the first step.
     """
-    S = empty_seqlist(n)
-    for sigma in sigmas:
+    run = _run_ids(_check_r(R, n), n)
+    steps = (*sigmas, identity(n))
+    for sigma in steps:
         if len(sigma) != n:
             raise ValueError(f"permutation size {len(sigma)} != {n}")
-        S = prepend_labels(R, sigma, S)
-    if close_with_identity:
-        S = prepend_labels(R, identity(n), S)
+    S = empty_seqlist(n)
+    for sigma in steps:
+        positions = _descent_positions(run, S, sigma)
+        S = _prepend(positions, sigma, S)
+        yield positions, S
+
+
+def label_chain(R, n: int, sigmas) -> SeqList:
+    """The closed chain: its coordinate sums are the k = len(sigmas) + 1 comaj components."""
+    *_, (_, S) = chain_steps(R, n, sigmas)
     return S
 
 
@@ -162,29 +174,7 @@ def comaj_components(R, n: int, sigmas) -> tuple[int, ...]:
     built from the previous steps; the final component uses the
     identity.
     """
-    Rf = _check_r(R, n)
-    S = empty_seqlist(n)
-    comps = []
-    for sigma in (*sigmas, identity(n)):
-        if len(sigma) != n:
-            raise ValueError(f"permutation size {len(sigma)} != {n}")
-        positions = _descent_positions(Rf, S, sigma)
-        comps.append(sum(n - i for i in positions))
-        lab = _labels(positions, sigma)
-        S = tuple((lab[i],) + S[i] for i in range(n))
-    return tuple(comps)
-
-
-def comaj_total(R, n: int, sigmas) -> int:
-    return sum(comaj_components(R, n, sigmas))
-
-
-def tableau_comaj_components(T: StandardTableau, sigmas) -> tuple[int, ...]:
-    return comaj_components(T.descent_set(), T.n, sigmas)
-
-
-def tableau_comaj_total(T: StandardTableau, sigmas) -> int:
-    return sum(tableau_comaj_components(T, sigmas))
+    return tuple(sum(n - i for i in positions) for positions, _ in chain_steps(R, n, sigmas))
 
 
 def reading_order(R, S: SeqList) -> Perm:
@@ -277,5 +267,5 @@ class LabeledTableau:
 
 def labeled_tableau(T: StandardTableau, sigmas) -> LabeledTableau:
     """Close the chain of T's descent set over sigmas and fill T with it."""
-    filling = label_chain(T.descent_set(), T.n, sigmas, close_with_identity=True)
+    filling = label_chain(T.descent_set(), T.n, sigmas)
     return LabeledTableau(base=T, filling=filling)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
 from . import engine, perm
@@ -116,16 +117,18 @@ def _sigma_vectors(n: int, k: int):
     return itertools.product(words, repeat=k - 1)
 
 
+def _tally(n: int, k: int, exponents) -> QPoly:
+    """Count each exponent vector once per occurrence, bounded by the exact degree."""
+    return QPoly(k, exact_degree_bound(n, k), Counter(exponents))
+
+
 def fundamental_comaj_polynomial(R, n: int, k: int) -> QPoly:
     """Sum over permutation vectors of the comaj-component weight, for one R."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    D = exact_degree_bound(n, k)
-    acc: dict[tuple[int, ...], int] = {}
-    for sigmas in _sigma_vectors(n, k):
-        e = engine.comaj_components(R, n, sigmas)
-        acc[e] = acc.get(e, 0) + 1
-    return QPoly(k, D, acc)
+    return _tally(n, k, (
+        engine.comaj_components(R, n, sigmas) for sigmas in _sigma_vectors(n, k)
+    ))
 
 
 def schur_comaj_polynomial(lam: Partition, k: int) -> QPoly:
@@ -134,27 +137,22 @@ def schur_comaj_polynomial(lam: Partition, k: int) -> QPoly:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n = sum(lam)
-    D = exact_degree_bound(n, k)
-    acc: dict[tuple[int, ...], int] = {}
-    for T in standard_tableaux(lam):
-        R = T.descent_set()
-        for sigmas in _sigma_vectors(n, k):
-            e = engine.comaj_components(R, n, sigmas)
-            acc[e] = acc.get(e, 0) + 1
-    return QPoly(k, D, acc)
+    return _tally(n, k, (
+        engine.comaj_components(R, n, sigmas)
+        for R in [T.descent_set() for T in standard_tableaux(lam)]
+        for sigmas in _sigma_vectors(n, k)
+    ))
 
 
 def labeled_tableau_polynomial(lam: Partition, k: int) -> QPoly:
     """Same sum computed from the weights of closed label chains."""
     lam = partition(lam)
     n = sum(lam)
-    D = exact_degree_bound(n, k)
-    acc: dict[tuple[int, ...], int] = {}
-    for T in standard_tableaux(lam):
-        for sigmas in _sigma_vectors(n, k):
-            e = engine.labeled_tableau(T, sigmas).weight(k)
-            acc[e] = acc.get(e, 0) + 1
-    return QPoly(k, D, acc)
+    return _tally(n, k, (
+        engine.labeled_tableau(T, sigmas).weight(k)
+        for T in standard_tableaux(lam)
+        for sigmas in _sigma_vectors(n, k)
+    ))
 
 
 def graded_multiplicity_comaj(lam: Partition, k: int) -> QPoly:
@@ -272,27 +270,26 @@ def verify_fundamental_evaluation(R, n: int, k: int, trunc: Truncation) -> Verif
     )
 
 
+def _closing(n: int, sigmas) -> tuple[int, ...]:
+    """The permutation that makes the product of sigmas and it the identity."""
+    return perm.inverse(reduce(perm.compose, sigmas, perm.identity(n)))
+
+
 def verify_row_case(n: int, k: int) -> VerificationReport:
     """Single-row shape: the comaj formula equals the product-one enumeration."""
     started = time.perf_counter()
-    D = exact_degree_bound(n, k)
     lhs = schur_comaj_polynomial((n,), k)
-    acc: dict[tuple[int, ...], int] = {}
-    for sigmas in _sigma_vectors(n, k):
-        closing = perm.identity(n)
-        for sigma in sigmas:
-            closing = perm.compose(closing, sigma)
-        full = (*sigmas, perm.inverse(closing))
-        e = tuple(perm.comaj(sigma) for sigma in full)
-        acc[e] = acc.get(e, 0) + 1
-    rhs = QPoly(k, D, acc)
+    rhs = _tally(n, k, (
+        tuple(perm.comaj(sigma) for sigma in (*sigmas, _closing(n, sigmas)))
+        for sigmas in _sigma_vectors(n, k)
+    ))
     sides = [("comaj_formula", lhs), ("identity_product_enumeration", rhs)]
     if k == 2:
-        paired: dict[tuple[int, ...], int] = {}
-        for sigma in perm.symmetric_group(n):
-            e = (perm.comaj(perm.inverse(sigma)), perm.comaj(sigma))
-            paired[e] = paired.get(e, 0) + 1
-        sides.append(("inverse_pair_enumeration", QPoly(k, D, paired)))
+        paired = _tally(n, k, (
+            (perm.comaj(perm.inverse(sigma)), perm.comaj(sigma))
+            for sigma in perm.symmetric_group(n)
+        ))
+        sides.append(("inverse_pair_enumeration", paired))
     # Hilbert series of the invariants: collapse against the character oracle.
     pairs = _chained(sides)
     pairs.append(

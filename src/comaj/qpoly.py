@@ -17,7 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import lru_cache
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 
 class Truncation(NamedTuple):
@@ -28,11 +29,11 @@ class Truncation(NamedTuple):
 
 
 class QPoly:
-    """Immutable truncated polynomial; do not mutate ``terms`` after creation."""
+    """Immutable truncated polynomial; ``terms`` is a read-only view, so cached values stay intact."""
 
-    __slots__ = ("k", "D", "terms")
+    __slots__ = ("k", "D", "_terms")
 
-    def __init__(self, k: int, D: int, terms: dict[tuple[int, ...], int] | None = None):
+    def __init__(self, k: int, D: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if k < 1 or D < 0:
             raise ValueError(f"need k >= 1 and D >= 0, got k={k}, D={D}")
         self.k = k
@@ -45,7 +46,12 @@ class QPoly:
                 raise ValueError(f"bad exponent vector for k={k}: {e!r}")
             if sum(e) <= D:
                 clean[e] = c
-        self.terms = clean
+        self._terms = clean
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """Exponent vector -> nonzero coefficient; writing into it raises TypeError."""
+        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls, k: int, D: int) -> QPoly:
@@ -75,25 +81,25 @@ class QPoly:
             )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def coeff(self, e: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(e), 0)
+        return self._terms.get(tuple(e), 0)
 
     def total_at_one(self) -> int:
         """Sum of all coefficients (the value at q_1 = ... = q_k = 1)."""
-        return sum(self.terms.values())
+        return sum(self._terms.values())
 
     def degree(self) -> int:
         """Largest total degree with a nonzero coefficient (-1 for zero)."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self._terms), default=-1)
 
     def __add__(self, other: QPoly) -> QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         self._check_compat(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._terms)
+        for e, c in other._terms.items():
             v = out.get(e, 0) + c
             if v:
                 out[e] = v
@@ -102,7 +108,7 @@ class QPoly:
         return QPoly(self.k, self.D, out)
 
     def __neg__(self) -> QPoly:
-        return QPoly(self.k, self.D, {e: -c for e, c in self.terms.items()})
+        return QPoly(self.k, self.D, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: QPoly) -> QPoly:
         if not isinstance(other, QPoly):
@@ -111,13 +117,13 @@ class QPoly:
 
     def __mul__(self, other) -> QPoly:
         if isinstance(other, int):
-            return QPoly(self.k, self.D, {e: c * other for e, c in self.terms.items()})
+            return QPoly(self.k, self.D, {e: c * other for e, c in self._terms.items()})
         if not isinstance(other, QPoly):
             return NotImplemented
         self._check_compat(other)
         # Group by total degree so entire blocks above the bound are skipped.
-        a_blocks = _degree_blocks(self.terms)
-        b_blocks = _degree_blocks(other.terms)
+        a_blocks = _degree_blocks(self._terms)
+        b_blocks = _degree_blocks(other._terms)
         out: dict[tuple[int, ...], int] = {}
         for da, at in a_blocks.items():
             for db, bt in b_blocks.items():
@@ -150,18 +156,18 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         self._check_compat(other)
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def rebound(self, D: int) -> QPoly:
         """Same polynomial under a new degree bound (truncating if smaller)."""
-        return QPoly(self.k, D, self.terms)
+        return QPoly(self.k, D, self._terms)
 
     def permute_variables(self, images: tuple[int, ...]) -> QPoly:
         """Send q_i to q_{images[i-1]} (images is a permutation of 1..k)."""
         if sorted(images) != list(range(1, self.k + 1)):
             raise ValueError(f"not a permutation of 1..{self.k}: {images!r}")
         out: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             new = [0] * self.k
             for pos, x in enumerate(e):
                 new[images[pos] - 1] = x
@@ -175,24 +181,24 @@ class QPoly:
         return QPoly(
             self.k,
             self.D,
-            {e: c for e, c in self.terms.items() if e[index - 1] == 0},
+            {e: c for e, c in self._terms.items() if e[index - 1] == 0},
         )
 
     def drop_variable(self, index: int) -> QPoly:
         """Remove a variable that no term uses (1-based index)."""
         if self.k < 2:
             raise ValueError("cannot drop below one variable")
-        if any(e[index - 1] != 0 for e in self.terms):
+        if any(e[index - 1] != 0 for e in self._terms):
             raise ValueError(f"terms still use q_{index}")
         return QPoly(
             self.k - 1,
             self.D,
-            {e[: index - 1] + e[index:]: c for e, c in self.terms.items()},
+            {e[: index - 1] + e[index:]: c for e, c in self._terms.items()},
         )
 
     def graded_items(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms sorted in graded lexicographic order."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        return sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]))
 
     def to_obj(self) -> dict:
         return {
@@ -216,7 +222,7 @@ class QPoly:
         for e, c in self.graded_items()[:8]:
             mono = "".join(f"q{i + 1}^{x}" for i, x in enumerate(e) if x)
             parts.append(f"{c}{'*' + mono if mono else ''}")
-        tail = " + ..." if len(self.terms) > 8 else ""
+        tail = " + ..." if len(self._terms) > 8 else ""
         return f"QPoly(k={self.k}, D={self.D}, {' + '.join(parts)}{tail})"
 
 
@@ -230,7 +236,7 @@ def _degree_blocks(terms: dict[tuple[int, ...], int]) -> dict[int, dict]:
 def exact_div(p: QPoly, m: int) -> QPoly:
     """Divide every coefficient by m, failing loudly when not integral."""
     out = {}
-    for e, c in p.terms.items():
+    for e, c in p._terms.items():
         q, rem = divmod(c, m)
         if rem:
             raise ArithmeticError(f"coefficient {c} of {e} not divisible by {m}")
@@ -243,7 +249,7 @@ def geometric_inverse(unit: QPoly) -> QPoly:
     zero_e = (0,) * unit.k
     if unit.coeff(zero_e) != 1:
         raise ValueError("constant term must be 1")
-    a_blocks = _degree_blocks(unit.terms)
+    a_blocks = _degree_blocks(unit._terms)
     inv_blocks: dict[int, dict[tuple[int, ...], int]] = {0: {zero_e: 1}}
     for d in range(1, unit.D + 1):
         blk: dict[tuple[int, ...], int] = {}
@@ -346,7 +352,7 @@ def _determinant(matrix, trunc: Truncation) -> QPoly:
 def collapse(p: QPoly) -> QPoly:
     """Set every variable to a single q: exponent becomes the total degree."""
     out: dict[tuple[int], int] = {}
-    for e, c in p.terms.items():
+    for e, c in p._terms.items():
         key = (sum(e),)
         v = out.get(key, 0) + c
         if v:

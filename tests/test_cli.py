@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -190,6 +191,30 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert json.loads(out.strip())["counterexample"]["pair"] == ["a", "b"]
+
+
+def test_verify_all_stream_order(capsys):
+    # digest of the stream as first recorded; "--jobs 2" gives the same bytes
+    rc = cli.main(["verify", "all", "--max-n", "3", "--max-k", "2", "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "99377b206aef00d1237a7d1999071389ab0671df00b4b1d3c367086466b0c40f"
+    )
+
+
+def test_boundary_checks_hold_under_optimize():
+    # preconditions raise errors rather than assert, so -O keeps them
+    script = "from comaj import engine; engine.comaj_components({3}, 3, ())"
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "ValueError: R must be a subset of 1..2" in proc.stderr
+    stat = ["stat", "--shape", "2,1", "--tableau", "1,2/3", "--perms", "1234"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "comaj", *stat], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "error: permutation size 4 != 3" in proc.stderr
 
 
 def test_verify_output_file(tmp_path, capsys):

@@ -116,9 +116,12 @@ def test_label_sum_equals_comaj(n, rnd):
 def test_full_chain_display():
     R = frozenset({2, 5, 6})
     sigmas = ((3, 6, 5, 1, 2, 7, 4), (6, 5, 2, 3, 4, 1, 7), (1, 4, 2, 3, 5, 6, 7))
-    assert engine.label_chain(R, 7, sigmas, close_with_identity=False) == seqs(
-        "021,201,210,112,300,400,421"
-    )
+    steps = list(engine.chain_steps(R, 7, sigmas))
+    assert [S for _, S in steps[:-1]] == [
+        ((1,), (1,), (0,), (2,), (0,), (0,), (1,)),
+        seqs("21,01,10,12,00,00,21"),
+        seqs("021,201,210,112,300,400,421"),
+    ]
     assert engine.label_chain(R, 7, sigmas) == seqs(
         "0021,0201,0210,1112,1300,1400,1421"
     )
@@ -143,18 +146,50 @@ def test_comaj_components_worked_examples():
     R = frozenset({2, 5, 6})
     sigmas = ((3, 6, 5, 1, 2, 7, 4), (6, 5, 2, 3, 4, 1, 7), (1, 4, 2, 3, 5, 6, 7))
     assert engine.comaj_components(R, 7, sigmas) == (5, 6, 16, 4)
-    assert engine.comaj_total(R, 7, sigmas) == 31
+    assert sum(engine.comaj_components(R, 7, sigmas)) == 31
 
     T = StandardTableau([[1, 3], [2, 4], [5], [6]])
     sigmas2 = ((6, 3, 1, 2, 5, 4), (3, 6, 5, 4, 1, 2))
-    assert engine.tableau_comaj_components(T, sigmas2) == (7, 7, 7)
-    assert engine.tableau_comaj_total(T, sigmas2) == 21
+    assert engine.comaj_components(T.descent_set(), T.n, sigmas2) == (7, 7, 7)
+    assert sum(engine.comaj_components(T.descent_set(), T.n, sigmas2)) == 21
 
 
 def test_components_with_empty_vector_give_tableau_comaj():
+    # at k = 1 the generalized statistic is the classical comaj of the tableau
     for lam in [(3,), (2, 1), (2, 2, 1)]:
         for T in standard_tableaux(lam):
-            assert engine.tableau_comaj_components(T, ()) == (T.comaj(),)
+            assert engine.comaj_components(T.descent_set(), T.n, ()) == (T.comaj(),)
+
+
+def test_chain_steps_match_single_steps():
+    rnd = random.Random(5)
+    for _ in range(200):
+        n = rnd.randint(1, 5)
+        k = rnd.randint(1, 3)
+        R = frozenset(i for i in range(1, n) if rnd.random() < 0.5)
+        sigmas = tuple(
+            tuple(rnd.sample(range(1, n + 1), n)) for _ in range(k - 1)
+        )
+        S_prev = engine.empty_seqlist(n)
+        steps = list(engine.chain_steps(R, n, sigmas))
+        assert len(steps) == k
+        for sigma, (positions, S) in zip((*sigmas, perm.identity(n)), steps):
+            assert positions == sorted(engine.descents(R, S_prev, sigma))
+            assert S == engine.prepend_labels(R, sigma, S_prev)
+            S_prev = S
+
+
+def test_chain_steps_validation():
+    with pytest.raises(ValueError):
+        list(engine.chain_steps({3}, 3, ()))
+    with pytest.raises(ValueError):
+        list(engine.chain_steps({0}, 3, ((1, 2, 3),)))
+    with pytest.raises(ValueError):
+        list(engine.chain_steps(frozenset(), 3, ((1, 2, 3), (2, 1))))
+    with pytest.raises(ValueError):
+        engine.comaj_components({3}, 3, ())
+    with pytest.raises(ValueError):
+        engine.label_chain(frozenset(), 3, ((1, 2, 3, 4),))
 
 
 def test_component_weight_consistency():

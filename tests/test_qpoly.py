@@ -223,6 +223,16 @@ def test_graded_lex_term_order():
     assert exps == [(1, 0), (0, 2), (1, 1), (2, 0)]
 
 
+def test_cached_terms_are_read_only():
+    t = Truncation(2, 4)
+    before = homogeneous_principal(2, t).digest()
+    with pytest.raises(TypeError):
+        homogeneous_principal(2, t).terms[(0, 0)] = 99
+    with pytest.raises(AttributeError):
+        homogeneous_principal(2, t).terms = {}
+    assert homogeneous_principal(2, t).digest() == before
+
+
 def test_rebound():
     p = QPoly(1, 5, {(5,): 2, (1,): 1})
     up = p.rebound(8)
