@@ -20,7 +20,6 @@ from .engine import (
     prepend_labels,
     reading_order,
     seq_weight,
-    seqlist,
     zero_comaj_perm,
 )
 from .enumeration import fundamental_principal_series, schur_principal_by_tableaux

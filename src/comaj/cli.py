@@ -164,26 +164,20 @@ def cmd_evaluate(args) -> int:
     if args.target == "schur":
         lam = parse_partition_arg(args.lambda_)
         n = sum(lam)
-        bound = identities.exact_degree_bound(n, args.k)
         poly = identities.schur_comaj_polynomial(lam, args.k)
-        if args.D is not None:
-            if args.D < bound:
-                raise ValueError(f"D={args.D} is below the exact bound {bound}")
-            poly = poly.rebound(args.D)
     elif args.target == "fundamental":
-        R = parse_set_arg(args.r_set)
         n = args.n
-        bound = identities.exact_degree_bound(n, args.k)
-        poly = identities.fundamental_comaj_polynomial(R, n, args.k)
-        if args.D is not None:
-            if args.D < bound:
-                raise ValueError(f"D={args.D} is below the exact bound {bound}")
-            poly = poly.rebound(args.D)
+        poly = identities.fundamental_comaj_polynomial(parse_set_arg(args.r_set), n, args.k)
     else:  # schur-jt
         lam = parse_partition_arg(args.lambda_)
         if args.D is None:
             raise ValueError("schur-jt is a truncated series; pass --D")
         poly = schur_principal_jt(lam, Truncation(args.k, args.D))
+    if args.target != "schur-jt" and args.D is not None:
+        bound = identities.exact_degree_bound(n, args.k)
+        if args.D < bound:
+            raise ValueError(f"D={args.D} is below the exact bound {bound}")
+        poly = poly.rebound(args.D)
     if args.format == "csv":
         _emit(_poly_csv(poly), args.output)
     else:

@@ -37,20 +37,6 @@ def empty_seqlist(n: int) -> SeqList:
     return ((),) * n
 
 
-def seqlist(seqs) -> SeqList:
-    """Validate uniform length and nonnegative entries."""
-    s = tuple(tuple(x) for x in seqs)
-    if not s:
-        raise ValueError("sequence list must be nonempty")
-    r = len(s[0])
-    for row in s:
-        if len(row) != r:
-            raise ValueError(f"sequences must share one length: {s!r}")
-        if any(e < 0 for e in row):
-            raise ValueError(f"entries must be nonnegative: {row!r}")
-    return s
-
-
 @lru_cache(maxsize=None)
 def _run_ids(R: frozenset[int], n: int) -> tuple[int, ...]:
     """Run id of each index 1..n; a run breaks after index i when i not in R."""

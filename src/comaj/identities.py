@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -302,37 +302,39 @@ def verify_row_case(n: int, k: int) -> VerificationReport:
 
 
 @lru_cache(maxsize=None)
-def _box_buckets(R: tuple[int, ...], n: int, r: int, bound: int):
-    """Bounded-entry sums, bucketed for the injection-recursion check.
+def _box_buckets(R: tuple[int, ...], n: int, r: int,
+                 bound: int) -> dict[tuple, tuple[QPoly, QPoly]]:
+    """Both compared sides of the injection recursion, keyed by (sigma, D).
 
-    Left buckets: over Z in (N^r)^n with entries <= bound, keyed by the
-    reading order of Z and the descent set of its trailing coordinates.
-    Right buckets: over S in (N^{r-1})^n, keyed by (sigma, descent set)
-    for every sigma.  Both sums live in r variables truncated at bound.
+    Left: (q_r; q_r)_n times the sum of q^Z over Z in (N^r)^n with reading
+    order sigma and trailing descent set D.  Right: q_r^{c(D)} times the
+    sum of q^S over S in (N^{r-1})^n with descent set D against sigma.
+    Entries are at most bound; both sides live in r variables truncated
+    at bound.  Each Z is a head row prepended to a tail list S, so one
+    pass over the S builds both tables.
     """
     Rf = frozenset(R)
-    trunc = Truncation(r, bound)
-    left: dict[tuple, dict] = {}
-    for flat in itertools.product(range(bound + 1), repeat=n * r):
-        Z = tuple(flat[i * r : (i + 1) * r] for i in range(n))
-        sigma = engine.reading_order(Rf, Z)
-        tails = tuple(z[1:] for z in Z)
-        D = engine.descents(Rf, tails, sigma)
-        e = engine.seq_weight(Z, r)
-        bucket = left.setdefault((sigma, D), {})
-        bucket[e] = bucket.get(e, 0) + 1
-    right: dict[tuple, dict] = {}
     perms = tuple(perm.symmetric_group(n))
-    for flat in itertools.product(range(bound + 1), repeat=n * (r - 1)):
-        S = tuple(flat[i * (r - 1) : (i + 1) * (r - 1)] for i in range(n))
+    entries = range(bound + 1)
+    left: defaultdict[tuple, Counter] = defaultdict(Counter)
+    right: defaultdict[tuple, Counter] = defaultdict(Counter)
+    for S in itertools.product(itertools.product(entries, repeat=r - 1), repeat=n):
+        tail_descents = {sigma: engine.descents(Rf, S, sigma) for sigma in perms}
         e = engine.seq_weight(S, r)
-        for sigma in perms:
-            D = engine.descents(Rf, S, sigma)
-            bucket = right.setdefault((sigma, D), {})
-            bucket[e] = bucket.get(e, 0) + 1
-    left_polys = {key: QPoly(*trunc, terms) for key, terms in left.items()}
-    right_polys = {key: QPoly(*trunc, terms) for key, terms in right.items()}
-    return left_polys, right_polys
+        for key in tail_descents.items():
+            right[key][e] += 1
+        for head in itertools.product(entries, repeat=n):
+            Z = tuple((h, *s) for h, s in zip(head, S))
+            sigma = engine.reading_order(Rf, Z)
+            left[sigma, tail_descents[sigma]][engine.seq_weight(Z, r)] += 1
+    trunc = Truncation(r, bound)
+    poch = pochhammer(r, n, trunc)
+    # A Z's key is the key of its tail list, so the right table has every key.
+    return {
+        (sigma, D): (poch * QPoly(*trunc, left.get((sigma, D))),
+                     QPoly.variable(*trunc, r, sum(n - i for i in D)) * QPoly(*trunc, counts))
+        for (sigma, D), counts in right.items()
+    }
 
 
 def verify_injection_recursion(R, n: int, target, sigma,
@@ -349,16 +351,16 @@ def verify_injection_recursion(R, n: int, target, sigma,
     started = time.perf_counter()
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    trunc = Truncation(r, bound)
     Rf = frozenset(R)
     target = frozenset(target)
     sigma = perm.perm(sigma)
-    left_buckets, right_buckets = _box_buckets(tuple(sorted(Rf)), n, r, bound)
-    zero = QPoly.zero(*trunc)
-    left = pochhammer(r, n, trunc) * left_buckets.get((sigma, target), zero)
-    c_target = sum(n - i for i in target)
-    right = QPoly.variable(r, bound, r, c_target) * right_buckets.get(
-        (sigma, target), zero
+    if len(sigma) != n:
+        raise ValueError(f"permutation size {len(sigma)} != {n}")
+    if any(not 1 <= i <= n - 1 for i in target):
+        raise ValueError(f"target must be a subset of 1..{n - 1}: {sorted(target)!r}")
+    zero = QPoly.zero(r, bound)
+    left, right = _box_buckets(tuple(sorted(Rf)), n, r, bound).get(
+        (sigma, target), (zero, zero)
     )
     params = {
         "R": sorted(Rf),

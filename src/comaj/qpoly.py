@@ -62,10 +62,6 @@ class QPoly:
         return cls(k, D, {(0,) * k: 1})
 
     @classmethod
-    def monomial(cls, k: int, D: int, e: tuple[int, ...], c: int = 1) -> QPoly:
-        return cls(k, D, {tuple(e): c})
-
-    @classmethod
     def variable(cls, k: int, D: int, index: int, power: int = 1) -> QPoly:
         """The monomial q_index^power (index is 1-based)."""
         if not 1 <= index <= k:
@@ -89,10 +85,6 @@ class QPoly:
     def total_at_one(self) -> int:
         """Sum of all coefficients (the value at q_1 = ... = q_k = 1)."""
         return sum(self._terms.values())
-
-    def degree(self) -> int:
-        """Largest total degree with a nonzero coefficient (-1 for zero)."""
-        return max((sum(e) for e in self._terms), default=-1)
 
     def __add__(self, other: QPoly) -> QPoly:
         if not isinstance(other, QPoly):

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from comaj import cli
 from comaj.identities import VerificationReport
 
@@ -110,9 +112,10 @@ def test_evaluate_fundamental(capsys):
 
 
 def test_evaluate_rejects_low_degree_bound(capsys):
-    rc = cli.main(["evaluate", "schur", "--lambda", "2,1", "--k", "2", "--D", "3"])
-    assert rc == 2
-    assert "below the exact bound" in capsys.readouterr().err
+    for target in (["schur", "--lambda", "2,1"], ["fundamental", "--n", "3", "--r-set", "1"]):
+        rc = cli.main(["evaluate", *target, "--k", "2", "--D", "3"])
+        assert rc == 2
+        assert "D=3 is below the exact bound 6" in capsys.readouterr().err
 
 
 def test_evaluate_jt_requires_degree(capsys):
@@ -201,6 +204,20 @@ def test_verify_all_stream_order(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "99377b206aef00d1237a7d1999071389ab0671df00b4b1d3c367086466b0c40f"
     )
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # the box shape of the benchmark's prop41 workload, at a smaller entry bound
+    (["--n", "4", "--r", "2", "--bound", "2"],
+     "dc0982a0d2256c785c5b55c615c1c50a4456f5de20853c3fcc61c9481463d5da"),
+    (["--n", "3", "--r", "3", "--bound", "2"],
+     "09b33dfed0dbdcac017302170259b89405358a6947cf306a932b0daaae86c6c1"),
+], ids=["n4-r2-bound2", "n3-r3-bound2"])
+def test_verify_prop41_stream_digest(capsys, argv, digest):
+    rc = cli.main(["verify", "prop41", *argv, "--jobs", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_boundary_checks_hold_under_optimize():

@@ -6,7 +6,7 @@ import pytest
 
 from comaj import engine, identities, perm
 from comaj.identities import VerificationReport, _compare, _first_difference
-from comaj.qpoly import QPoly, Truncation
+from comaj.qpoly import QPoly, Truncation, pochhammer
 from comaj.tableaux import hook_length_count, partitions, standard_tableaux
 
 
@@ -240,6 +240,48 @@ def test_injection_recursion_driver():
             for sigma in perm.symmetric_group(3):
                 rep = identities.verify_injection_recursion(R, 3, target, sigma, 2, 4)
                 assert rep.passed, rep.counterexample
+    # a permutation of the wrong size, and targets outside 1..n-1
+    for target, sigma in [({1}, (1, 2)), ({0}, (2, 1, 3)), ({5}, (2, 1, 3))]:
+        with pytest.raises(ValueError):
+            identities.verify_injection_recursion(frozenset(), 3, target, sigma, 1, 2)
+
+
+def _two_loop_sides(R, n, r, bound):
+    """Both injection-recursion sides from separate enumerations of Z and S."""
+    trunc = Truncation(r, bound)
+
+    def box(width):
+        return itertools.product(itertools.product(range(bound + 1), repeat=width), repeat=n)
+
+    left, right = {}, {}
+    for Z in box(r):
+        sigma = engine.reading_order(R, Z)
+        bucket = left.setdefault((sigma, engine.descents(R, [z[1:] for z in Z], sigma)), {})
+        e = engine.seq_weight(Z, r)
+        bucket[e] = bucket.get(e, 0) + 1
+    for S in box(r - 1):
+        e = engine.seq_weight(S, r)
+        for sigma in perm.symmetric_group(n):
+            bucket = right.setdefault((sigma, engine.descents(R, S, sigma)), {})
+            bucket[e] = bucket.get(e, 0) + 1
+    return {
+        (sigma, D): (
+            pochhammer(r, n, trunc) * QPoly(*trunc, left.get((sigma, D))),
+            QPoly.variable(r, bound, r, sum(n - i for i in D))
+            * QPoly(*trunc, right.get((sigma, D))),
+        )
+        for sigma, D in left.keys() | right.keys()
+    }
+
+
+def test_box_buckets_match_two_loop_enumeration():
+    for n in (2, 3):
+        for r in (1, 2, 3):
+            for bound in (1, 2):
+                for R in all_subsets(n):
+                    expected = _two_loop_sides(R, n, r, bound)
+                    got = identities._box_buckets(tuple(sorted(R)), n, r, bound)
+                    assert got == expected, (R, n, r, bound)
 
 
 def test_variable_reindex_driver():
