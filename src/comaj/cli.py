@@ -270,13 +270,14 @@ SUITES = {
     "prop41": ("verify_injection_recursion", lambda a: (
         (R, n, target, sigma, r, a.bound)
         for n in _ns(a) if n >= 2
-        for r in ([a.r] if a.r else [1, 2])
+        for r in ([a.r] if a.r is not None else [1, 2])
         for R in _rsets(a, n)
         for target in _all_subsets(n)
         for sigma in perm.symmetric_group(n)
     )),
     "reindex": ("verify_variable_reindex", lambda a: (
-        (lam, m) for lam in _lams(a) for m in ([a.m] if a.m else range(1, max(a.max_k, 2)))
+        (lam, m) for lam in _lams(a)
+        for m in ([a.m] if a.m is not None else range(1, max(a.max_k, 2)))
     )),
 }
 

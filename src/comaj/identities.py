@@ -70,18 +70,22 @@ def _first_difference(a: QPoly, b: QPoly) -> dict | None:
 
 def _compare(identity: str, params: dict, pairs: list[tuple[Side, Side]],
              started: float, extra_checks: list[dict] | None = None) -> VerificationReport:
+    # Each name is digested once; a side equal to its partner (same k, D and
+    # terms, compared without QPoly.__eq__, which raises on a mismatch) reuses
+    # its digest.
     digests: dict[str, str] = {}
-    for (name_a, poly_a), (name_b, poly_b) in pairs:
-        digests.setdefault(name_a, poly_a.digest())
-        digests.setdefault(name_b, poly_b.digest())
     counterexample = None
-    status = "pass"
     for (name_a, poly_a), (name_b, poly_b) in pairs:
-        diff = _first_difference(poly_a, poly_b)
-        if diff is not None:
-            status = "fail"
-            counterexample = {"pair": [name_a, name_b], **diff}
-            break
+        same = (poly_a.k, poly_a.D) == (poly_b.k, poly_b.D) and poly_a.terms == poly_b.terms
+        if name_a not in digests:
+            digests[name_a] = poly_a.digest()
+        if name_b not in digests:
+            digests[name_b] = digests[name_a] if same else poly_b.digest()
+        if counterexample is None and not same:
+            diff = _first_difference(poly_a, poly_b)
+            if diff is not None:
+                counterexample = {"pair": [name_a, name_b], **diff}
+    status = "pass" if counterexample is None else "fail"
     if status == "pass":
         for check in extra_checks or []:
             if check["left"] != check["right"]:
@@ -301,6 +305,16 @@ def verify_row_case(n: int, k: int) -> VerificationReport:
     return _compare("row_case", {"n": n, "k": k}, pairs, started)
 
 
+def _within(cells: int, total: int):
+    """Every tuple of ``cells`` naturals whose sum is at most ``total``."""
+    if cells == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in _within(cells - 1, total - first):
+            yield (first, *rest)
+
+
 @lru_cache(maxsize=None)
 def _box_buckets(R: tuple[int, ...], n: int, r: int,
                  bound: int) -> dict[tuple, tuple[QPoly, QPoly]]:
@@ -309,21 +323,23 @@ def _box_buckets(R: tuple[int, ...], n: int, r: int,
     Left: (q_r; q_r)_n times the sum of q^Z over Z in (N^r)^n with reading
     order sigma and trailing descent set D.  Right: q_r^{c(D)} times the
     sum of q^S over S in (N^{r-1})^n with descent set D against sigma.
-    Entries are at most bound; both sides live in r variables truncated
-    at bound.  Each Z is a head row prepended to a tail list S, so one
-    pass over the S builds both tables.
+    Both sides live in r variables truncated at total degree bound, and
+    their factors have no negative degrees, so only the lists whose
+    entries sum to at most bound are enumerated.  Each Z is a head row
+    prepended to a tail list S, so one pass over the S builds both tables.
+    A key that no such S reaches has two zero sides.
     """
     Rf = frozenset(R)
     perms = tuple(perm.symmetric_group(n))
-    entries = range(bound + 1)
     left: defaultdict[tuple, Counter] = defaultdict(Counter)
     right: defaultdict[tuple, Counter] = defaultdict(Counter)
-    for S in itertools.product(itertools.product(entries, repeat=r - 1), repeat=n):
+    for flat in _within(n * (r - 1), bound):
+        S = tuple(flat[i * (r - 1):(i + 1) * (r - 1)] for i in range(n))
         tail_descents = {sigma: engine.descents(Rf, S, sigma) for sigma in perms}
         e = engine.seq_weight(S, r)
         for key in tail_descents.items():
             right[key][e] += 1
-        for head in itertools.product(entries, repeat=n):
+        for head in _within(n, bound - sum(flat)):
             Z = tuple((h, *s) for h, s in zip(head, S))
             sigma = engine.reading_order(Rf, Z)
             left[sigma, tail_descents[sigma]][engine.seq_weight(Z, r)] += 1
@@ -344,13 +360,16 @@ def verify_injection_recursion(R, n: int, target, sigma,
     Compares (q_r; q_r)_n times the sum of q^Z over Z with the given
     reading order and trailing descent set, against q_r^{c(target)}
     times the sum of q^S over the one-coordinate-shorter lists with
-    that descent set.  Entries are bounded by ``bound`` and both sides
-    truncated at total degree ``bound``, which the entry bound cannot
-    disturb.
+    that descent set.  Both sides are truncated at total degree
+    ``bound``, so only the lists whose entries sum to at most ``bound``
+    are enumerated; no factor has a negative degree, so the lists left
+    out cannot disturb the truncated sides.
     """
     started = time.perf_counter()
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    if bound < 0:
+        raise ValueError(f"need bound >= 0, got {bound}")
     Rf = frozenset(R)
     target = frozenset(target)
     sigma = perm.perm(sigma)

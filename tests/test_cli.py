@@ -212,12 +212,29 @@ def test_verify_all_stream_order(capsys):
      "dc0982a0d2256c785c5b55c615c1c50a4456f5de20853c3fcc61c9481463d5da"),
     (["--n", "3", "--r", "3", "--bound", "2"],
      "09b33dfed0dbdcac017302170259b89405358a6947cf306a932b0daaae86c6c1"),
-], ids=["n4-r2-bound2", "n3-r3-bound2"])
+    # most of the 4^10 boxes with entries at most 3 lie above the degree bound
+    (["--n", "5", "--r", "2", "--bound", "3", "--r-set", "1,3"],
+     "002a2cba01a7e6dd597b21281fa5cbd1c1ebfd4162a953c3886a5390667cbee5"),
+], ids=["n4-r2-bound2", "n3-r3-bound2", "n5-r2-bound3-R13"])
 def test_verify_prop41_stream_digest(capsys, argv, digest):
     rc = cli.main(["verify", "prop41", *argv, "--jobs", "1"])
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["prop41", "--n", "3", "--r", "0"], "need r >= 1, got 0"),
+    (["prop41", "--n", "3", "--r", "1", "--bound", "-1"], "need bound >= 0, got -1"),
+    (["reindex", "--lambda", "2,1", "--m", "0"], "need m >= 1, got 0"),
+], ids=["r0", "bound-1", "m0"])
+def test_verify_rejects_out_of_range_options(capsys, argv, message):
+    # an explicit 0 is not the default range
+    rc = cli.main(["verify", *argv, "--jobs", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
 
 
 def test_boundary_checks_hold_under_optimize():

@@ -1,6 +1,6 @@
 import itertools
 import json
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -244,6 +244,9 @@ def test_injection_recursion_driver():
     for target, sigma in [({1}, (1, 2)), ({0}, (2, 1, 3)), ({5}, (2, 1, 3))]:
         with pytest.raises(ValueError):
             identities.verify_injection_recursion(frozenset(), 3, target, sigma, 1, 2)
+    # a negative degree bound is refused before any box is built
+    with pytest.raises(ValueError, match="need bound >= 0"):
+        identities.verify_injection_recursion(frozenset(), 3, {1}, (2, 1, 3), 2, -1)
 
 
 def _two_loop_sides(R, n, r, bound):
@@ -274,14 +277,30 @@ def _two_loop_sides(R, n, r, bound):
     }
 
 
+def test_within_yields_bounded_tuples():
+    for cells in range(4):
+        for total in range(4):
+            got = list(identities._within(cells, total))
+            expected = [t for t in itertools.product(range(total + 1), repeat=cells)
+                        if sum(t) <= total]
+            assert sorted(got) == expected, (cells, total)
+            assert len(got) == len(set(got)) == comb(cells + total, total)
+    assert list(identities._within(0, 5)) == [()]
+
+
 def test_box_buckets_match_two_loop_enumeration():
-    for n in (2, 3):
-        for r in (1, 2, 3):
-            for bound in (1, 2):
-                for R in all_subsets(n):
-                    expected = _two_loop_sides(R, n, r, bound)
-                    got = identities._box_buckets(tuple(sorted(R)), n, r, bound)
-                    assert got == expected, (R, n, r, bound)
+    # The oracle walks every list with entries at most bound, so it also has
+    # keys reached only by lists above the degree bound; both sides of those
+    # truncate to zero, which is what verify_injection_recursion looks up.
+    cases = [(n, r, bound) for n in (2, 3) for r in (1, 2, 3) for bound in (1, 2, 3)]
+    for n, r, bound in cases + [(4, 1, 3)]:
+        zero = QPoly.zero(r, bound)
+        for R in all_subsets(n):
+            expected = _two_loop_sides(R, n, r, bound)
+            got = identities._box_buckets(tuple(sorted(R)), n, r, bound)
+            for key in expected.keys() | got.keys():
+                assert got.get(key, (zero, zero)) == expected.get(key, (zero, zero)), (
+                    R, n, r, bound, key)
 
 
 def test_variable_reindex_driver():
@@ -313,6 +332,19 @@ def test_compare_reports_failures():
     line = json.loads(report.to_json_line())
     assert line["status"] == "fail"
     assert "elapsed" not in line
+
+
+def test_compare_digests_each_distinct_side_once(monkeypatch):
+    calls = []
+    digest = QPoly.digest
+    monkeypatch.setattr(QPoly, "digest", lambda self: calls.append(self) or digest(self))
+    a = QPoly(1, 3, {(1,): 1})
+    b = QPoly(1, 3, {(1,): 2})
+    sides = [("a", a), ("a_again", QPoly(1, 3, {(1,): 1})), ("b", b)]
+    report = _compare("demo", {}, identities._chained(sides), 0.0)
+    assert calls == [a, b]  # "a_again" equals its partner "a" and reuses its digest
+    assert report.digests == {"a": a.digest(), "a_again": a.digest(), "b": b.digest()}
+    assert report.counterexample["pair"] == ["a_again", "b"]
 
 
 def test_report_serialization_is_canonical():
