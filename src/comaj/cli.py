@@ -228,12 +228,19 @@ def _all_subsets(n: int):
             yield frozenset(combo)
 
 
+def _given_or_range(name: str, value: int | None, top: int) -> list[int]:
+    """[value] when the option was given (it must be at least 1), else 1..top."""
+    if value is not None and value < 1:
+        raise ValueError(f"need {name} >= 1, got {value}")
+    return list(range(1, top + 1)) if value is None else [value]
+
+
 def _ns(args) -> list[int]:
-    return [args.n] if args.n else list(range(1, args.max_n + 1))
+    return _given_or_range("n", args.n, args.max_n)
 
 
 def _ks(args) -> list[int]:
-    return [args.k] if args.k else list(range(1, args.max_k + 1))
+    return _given_or_range("k", args.k, args.max_k)
 
 
 def _lams(args) -> list[tuple[int, ...]]:

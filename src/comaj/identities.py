@@ -127,30 +127,34 @@ def _tally(n: int, k: int, exponents) -> QPoly:
 
 
 def fundamental_comaj_polynomial(R, n: int, k: int) -> QPoly:
-    """Sum over permutation vectors of the comaj-component weight, for one R."""
+    """Sum over permutation vectors of the comaj-component weight, memoised per (R, n, k)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    return _fundamental_comaj(frozenset(R), n, k)
+
+
+@lru_cache(maxsize=256)
+def _fundamental_comaj(R: frozenset[int], n: int, k: int) -> QPoly:
     return _tally(n, k, (
         engine.comaj_components(R, n, sigmas) for sigmas in _sigma_vectors(n, k)
     ))
 
 
 def schur_comaj_polynomial(lam: Partition, k: int) -> QPoly:
-    """Sum of comaj weights over standard tableaux and permutation vectors."""
+    """Sum of the fundamental values at the descent sets of the standard tableaux."""
     lam = partition(lam)
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     n = sum(lam)
-    return _tally(n, k, (
-        engine.comaj_components(R, n, sigmas)
-        for R in [T.descent_set() for T in standard_tableaux(lam)]
-        for sigmas in _sigma_vectors(n, k)
-    ))
+    return reduce(QPoly.__add__, (fundamental_comaj_polynomial(T.descent_set(), n, k)
+                                  for T in standard_tableaux(lam)))
 
 
 def labeled_tableau_polynomial(lam: Partition, k: int) -> QPoly:
     """Same sum computed from the weights of closed label chains."""
     lam = partition(lam)
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     n = sum(lam)
     return _tally(n, k, (
         engine.labeled_tableau(T, sigmas).weight(k)

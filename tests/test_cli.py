@@ -111,6 +111,14 @@ def test_evaluate_fundamental(capsys):
     assert json.loads(out)["terms"] == [{"c": "1", "e": [1]}]
 
 
+def test_evaluate_fundamental_rejects_empty_n(capsys):
+    rc = cli.main(["evaluate", "fundamental", "--n", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error: need n >= 1, got 0" in captured.err
+
+
 def test_evaluate_rejects_low_degree_bound(capsys):
     for target in (["schur", "--lambda", "2,1"], ["fundamental", "--n", "3", "--r-set", "1"]):
         rc = cli.main(["evaluate", *target, "--k", "2", "--D", "3"])
@@ -223,11 +231,29 @@ def test_verify_prop41_stream_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "kronecker", "--max-n", "4", "--max-k", "3", "--jobs", "1"],
+     "a461669e9f36dfee469560b2549f36670458dfd62cac4b1bf8516a9da4e52cb4"),
+    (["verify", "reindex", "--max-n", "4", "--max-k", "3", "--jobs", "1"],
+     "32eae2b4cba10a3914f3a926ad99ebd5cbb349785666a4b32f443e34973a1177"),
+    (["multiplicity", "--n", "5", "--k", "2"],
+     "ff37641d50c084d77c2e43a07b9c4a43a0ffb136403d3ef508698f91093358b4"),
+], ids=["kronecker-n4-k3", "reindex-n4-k3", "multiplicity-n5-k2"])
+def test_comaj_formula_stream_digest(capsys, argv, digest):
+    # streams built on schur_comaj_polynomial, as first recorded
+    rc = cli.main(argv)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, message", [
     (["prop41", "--n", "3", "--r", "0"], "need r >= 1, got 0"),
     (["prop41", "--n", "3", "--r", "1", "--bound", "-1"], "need bound >= 0, got -1"),
     (["reindex", "--lambda", "2,1", "--m", "0"], "need m >= 1, got 0"),
-], ids=["r0", "bound-1", "m0"])
+    (["quasi", "--n", "0", "--k", "2"], "need n >= 1, got 0"),
+    (["row", "--n", "2", "--k", "0"], "need k >= 1, got 0"),
+], ids=["r0", "bound-1", "m0", "n0", "k0"])
 def test_verify_rejects_out_of_range_options(capsys, argv, message):
     # an explicit 0 is not the default range
     rc = cli.main(["verify", *argv, "--jobs", "1"])

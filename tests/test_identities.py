@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -51,20 +52,51 @@ def test_fundamental_comaj_examples():
     assert got == QPoly(1, 21, {(8,): 1})
 
 
-def test_schur_formula_decomposes_over_tableaux():
-    for n in range(1, 5):
-        for lam in partitions(n):
-            for k in (1, 2):
-                total = QPoly.zero(k, identities.exact_degree_bound(n, k))
-                for T in standard_tableaux(lam):
-                    total = total + identities.fundamental_comaj_polynomial(
-                        T.descent_set(), n, k
-                    )
-                assert total == identities.schur_comaj_polynomial(lam, k)
-    total = QPoly.zero(3, identities.exact_degree_bound(3, 3))
-    for T in standard_tableaux((2, 1)):
-        total = total + identities.fundamental_comaj_polynomial(T.descent_set(), 3, 3)
-    assert total == identities.schur_comaj_polynomial((2, 1), 3)
+def _schur_by_tableau_vectors(lam, k):
+    # The tally over every tableau and permutation vector, one tableau at a time.
+    n = sum(lam)
+    counts = Counter(
+        engine.comaj_components(T.descent_set(), n, sigmas)
+        for T in standard_tableaux(lam)
+        for sigmas in itertools.product(perm.symmetric_group(n), repeat=k - 1)
+    )
+    return QPoly(k, identities.exact_degree_bound(n, k), counts)
+
+
+def test_schur_formula_matches_tableau_vector_tally():
+    cases = [(lam, k) for n in range(1, 5) for lam in partitions(n) for k in (1, 2, 3)]
+    # 16 tableaux but 14 descent sets: the tableaux sharing a set both count
+    cases += [((3, 2, 1), 1), ((3, 2, 1), 2)]
+    for lam, k in cases:
+        assert identities.schur_comaj_polynomial(lam, k) == _schur_by_tableau_vectors(lam, k)
+
+
+def test_fundamental_values_are_memoised(monkeypatch):
+    calls = []
+    tally = engine.comaj_components
+
+    def counted(R, n, sigmas):
+        calls.append(R)
+        return tally(R, n, sigmas)
+
+    monkeypatch.setattr(engine, "comaj_components", counted)
+    identities._fundamental_comaj.cache_clear()
+    for lam in partitions(4):
+        identities.graded_multiplicity_comaj(lam, 2)
+    # one tally of S_4 per descent set of {1, 2, 3}, not one per tableau
+    assert len(calls) == 8 * 24
+    # R given as a list, a set or a frozenset is one cache key
+    values = [identities.fundamental_comaj_polynomial(R, 4, 2)
+              for R in ([2, 1], {1, 2}, frozenset({1, 2}))]
+    assert values[0] == values[1] == values[2]
+    assert len(calls) == 8 * 24
+
+
+def test_comaj_and_labeled_sides_reject_empty_inputs():
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        identities.fundamental_comaj_polynomial(frozenset(), 0, 1)
+    with pytest.raises(ValueError, match="need k >= 1, got 0"):
+        identities.labeled_tableau_polynomial((2, 1), 0)
 
 
 def test_schur_formula_symmetric_in_variables():
