@@ -255,44 +255,61 @@ def _rsets(args, n: int) -> list[frozenset[int]]:
     return list(_all_subsets(n))
 
 
-# Suite name -> (the identities.verify_* function that runs its tasks, that
-# function's argument tuples for the parsed options), in the order "all" runs
-# the suites.  The function is looked up by name when a task runs, so a module
-# attribute replaced after import is the one called.
+# Suite name -> (the identities.verify_* function that runs its tasks, the
+# options without a default that the suite reads, that function's argument
+# tuples for the parsed options), in the order "all" runs the suites.  The
+# function is looked up by name when a task runs, so a module attribute
+# replaced after import is the one called.
 SUITES = {
-    "finite": ("verify_finite_evaluation", lambda a: (
+    "finite": ("verify_finite_evaluation", {"lambda_", "n", "k", "D"}, lambda a: (
         (lam, k, None if a.D is None else Truncation(k, a.D))
         for lam in _lams(a) for k in _ks(a)
     )),
-    "kronecker": ("verify_kronecker_multiplicity", lambda a: (
+    "kronecker": ("verify_kronecker_multiplicity", {"lambda_", "n", "k"}, lambda a: (
         (lam, k) for lam in _lams(a) for k in _ks(a)
     )),
-    "quasi": ("verify_fundamental_evaluation", lambda a: (
+    "quasi": ("verify_fundamental_evaluation", {"n", "r_set", "k", "D"}, lambda a: (
         (R, n, k, Truncation(k, identities.exact_degree_bound(n, k) if a.D is None else a.D))
         for n in _ns(a) for R in _rsets(a, n) for k in _ks(a)
     )),
-    "row": ("verify_row_case", lambda a: (
+    "row": ("verify_row_case", {"n", "k"}, lambda a: (
         (n, k) for n in _ns(a) for k in _ks(a)
     )),
-    "prop41": ("verify_injection_recursion", lambda a: (
-        (R, n, target, sigma, r, a.bound)
+    "prop41": ("verify_injection_recursion", {"n", "r", "r_set", "bound"}, lambda a: (
+        (R, n, target, sigma, r, 4 if a.bound is None else a.bound)
         for n in _ns(a) if n >= 2
         for r in ([a.r] if a.r is not None else [1, 2])
         for R in _rsets(a, n)
         for target in _all_subsets(n)
         for sigma in perm.symmetric_group(n)
     )),
-    "reindex": ("verify_variable_reindex", lambda a: (
+    "reindex": ("verify_variable_reindex", {"lambda_", "n", "m"}, lambda a: (
         (lam, m) for lam in _lams(a)
         for m in ([a.m] if a.m is not None else range(1, max(a.max_k, 2)))
     )),
 }
 
+# Each option without a default, by its attribute name.
+_OPTIONS = {"lambda_": "--lambda", "n": "--n", "k": "--k", "m": "--m", "r": "--r",
+            "r_set": "--r-set", "bound": "--bound", "D": "--D"}
+
+
+def _check_options(args) -> None:
+    """Refuse an option the one named suite would drop unread."""
+    if args.suite == "all":
+        return
+    reads = SUITES[args.suite][1]
+    for dest, flag in _OPTIONS.items():
+        if getattr(args, dest) is not None and dest not in reads:
+            raise ValueError(f"verify {args.suite} does not read {flag}")
+    if args.lambda_ is not None and args.n is not None:
+        raise ValueError(f"verify {args.suite} does not read --n next to --lambda")
+
 
 def _verify_tasks(args) -> list[tuple[str, tuple]]:
     """(verify function name, its arguments) for every report, in stream order."""
     suites = SUITES if args.suite == "all" else (args.suite,)
-    return [(SUITES[s][0], payload) for s in suites for payload in SUITES[s][1](args)]
+    return [(SUITES[s][0], payload) for s in suites for payload in SUITES[s][2](args)]
 
 
 def _run_verify_task(task) -> tuple[bool, str]:
@@ -312,6 +329,7 @@ def _collect(results) -> tuple[list[str], bool]:
 
 
 def cmd_verify(args) -> int:
+    _check_options(args)
     jobs = args.jobs or int(os.environ.get("COMAJ_JOBS", "1"))
     tasks = _verify_tasks(args)
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
@@ -384,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", type=int)
     p_verify.add_argument("--r", type=int)
     p_verify.add_argument("--r-set", dest="r_set")
-    p_verify.add_argument("--bound", type=int, default=4)
+    p_verify.add_argument("--bound", type=int, help="prop41 entry bound (default 4)")
     p_verify.add_argument("--D", type=int)
     p_verify.add_argument("--jobs", type=int)
     p_verify.add_argument("-o", "--output")

@@ -134,6 +134,14 @@ def chain_steps(R, n: int, sigmas):
     ``prepend_labels``.  The step's comaj component is the sum of
     (n - i) over the positions; the last list is the closed chain.  R
     and the permutation sizes are checked once, before the first step.
+
+    Reading-order lemma: the list after a step with sigma has reading
+    order sigma, and position i is a generalized descent of the next
+    permutation exactly when the current list reads its entries i and
+    i + 1 in the opposite order.  So every step after the first has
+    the descents of its permutation read through the inverse of the
+    previous one, independent of R; only the first step reads the
+    empty list, in the order ``zero_comaj_perm(R)``.
     """
     run = _run_ids(_check_r(R, n), n)
     steps = (*sigmas, identity(n))

@@ -137,9 +137,69 @@ def fundamental_comaj_polynomial(R, n: int, k: int) -> QPoly:
 
 @lru_cache(maxsize=256)
 def _fundamental_comaj(R: frozenset[int], n: int, k: int) -> QPoly:
-    return _tally(n, k, (
-        engine.comaj_components(R, n, sigmas) for sigmas in _sigma_vectors(n, k)
+    """The comaj tally over permutation vectors, walked as a table over reading orders.
+
+    Reading-order lemma: after a label step with sigma, the reading order
+    of the new list is sigma itself, and a position is a generalized
+    descent exactly when the list reads its two values in the opposite
+    order.  So step j >= 2 has the descents of sigma_j read through the
+    inverse of sigma_{j-1}, whatever R and the list are.  Only step 1 sees
+    R, through the empty list, whose reading order is
+    ``engine.zero_comaj_perm(R)``.  The value is therefore the sum over
+    sigma of q_1^{c_1(R, sigma)} times the R-independent ``_tails(n,
+    k - 1)`` entry of sigma, with c_1 taken from ``engine``.
+    """
+    if k == 1:
+        return _tally(n, k, [engine.comaj_components(R, n, ())])
+    return QPoly(k, exact_degree_bound(n, k), _ahead(
+        (engine.comaj_components(R, n, (sigma,))[0], tail)
+        for sigma, tail in zip(perm.symmetric_group(n), _tails(n, k - 1))
     ))
+
+
+def _ahead(steps) -> Counter:
+    """Count (c, *e) over the (c, tail) pairs, each tail entry e with its count."""
+    acc: Counter = Counter()
+    for c, tail in steps:
+        for e, m in tail:
+            acc[(c, *e)] += m
+    return acc
+
+
+def _step_row(prev: perm.Perm, words) -> tuple[int, ...]:
+    """Comaj of each word against a list read in the order prev.
+
+    The sum of n - i over the positions i at which prev reads the word's
+    entries i and i + 1 in the opposite order.
+    """
+    n = len(prev)
+    rank = [0] * (n + 1)
+    for pos, v in enumerate(prev):
+        rank[v] = pos
+    return tuple(sum(n - i for i in range(1, n) if rank[s[i - 1]] > rank[s[i]]) for s in words)
+
+
+@lru_cache(maxsize=4)
+def _step_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row p, column s: ``_step_row`` of the p-th word at the s-th, in S_n's lex order."""
+    words = tuple(perm.symmetric_group(n))
+    return tuple(_step_row(prev, words) for prev in words)
+
+
+@lru_cache(maxsize=8)
+def _tails(n: int, j: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """The last j comaj components after a step with each permutation, counted.
+
+    Entry p holds (components, count) pairs for a list read in the p-th
+    order of ``perm.symmetric_group``: the closing identity step for
+    j = 1, else each next step s's table value ahead of every
+    tail_{j-1} entry of s.  Only j >= 2 builds the (n!)^2 step table.
+    """
+    if j == 1:
+        closing = (perm.identity(n),)
+        return tuple(((_step_row(prev, closing), 1),) for prev in perm.symmetric_group(n))
+    below = _tails(n, j - 1)
+    return tuple(tuple(_ahead(zip(row, below)).items()) for row in _step_table(n))
 
 
 def schur_comaj_polynomial(lam: Partition, k: int) -> QPoly:

@@ -253,7 +253,19 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     (["reindex", "--lambda", "2,1", "--m", "0"], "need m >= 1, got 0"),
     (["quasi", "--n", "0", "--k", "2"], "need n >= 1, got 0"),
     (["row", "--n", "2", "--k", "0"], "need k >= 1, got 0"),
-], ids=["r0", "bound-1", "m0", "n0", "k0"])
+    # an option the named suite never reads is refused, not dropped
+    (["prop41", "--n", "2", "--k", "0", "--r", "1", "--bound", "1"],
+     "verify prop41 does not read --k"),
+    (["reindex", "--lambda", "2,1", "--k", "2"], "verify reindex does not read --k"),
+    (["kronecker", "--lambda", "2,1", "--n", "3", "--k", "2"],
+     "verify kronecker does not read --n next to --lambda"),
+    (["finite", "--lambda", "2,1", "--n", "3", "--k", "2"],
+     "verify finite does not read --n next to --lambda"),
+    (["row", "--n", "2", "--k", "2", "--bound", "3"], "verify row does not read --bound"),
+    (["kronecker", "--lambda", "2,1", "--k", "2", "--D", "9"],
+     "verify kronecker does not read --D"),
+], ids=["r0", "bound-1", "m0", "n0", "k0", "prop41-k", "reindex-k", "kronecker-n-lambda",
+        "finite-n-lambda", "row-bound", "kronecker-D"])
 def test_verify_rejects_out_of_range_options(capsys, argv, message):
     # an explicit 0 is not the default range
     rc = cli.main(["verify", *argv, "--jobs", "1"])
@@ -261,6 +273,14 @@ def test_verify_rejects_out_of_range_options(capsys, argv, message):
     assert rc == 2
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+
+
+def test_verify_kronecker_reaches_n6_at_k3(capsys):
+    # the comaj route against the character oracle at the n = 6, k = 3 frontier
+    rc = cli.main(["verify", "kronecker", "--lambda", "3,2,1", "--k", "3", "--jobs", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines and all(json.loads(line)["status"] == "pass" for line in lines)
 
 
 def test_boundary_checks_hold_under_optimize():

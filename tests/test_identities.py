@@ -90,6 +90,40 @@ def test_fundamental_values_are_memoised(monkeypatch):
               for R in ([2, 1], {1, 2}, frozenset({1, 2}))]
     assert values[0] == values[1] == values[2]
     assert len(calls) == 8 * 24
+    # k = 3 reads only step 1 from the engine: n! calls per descent set,
+    # where the per-vector tally made (n!)^2
+    calls.clear()
+    for lam in partitions(4):
+        identities.graded_multiplicity_comaj(lam, 3)
+    assert len(calls) == 8 * 24
+
+
+def _fundamental_by_vectors(R, n, k):
+    # The per-vector tally: every permutation vector walked through the engine.
+    counts = Counter(
+        engine.comaj_components(R, n, sigmas)
+        for sigmas in itertools.product(perm.symmetric_group(n), repeat=k - 1)
+    )
+    return QPoly(k, identities.exact_degree_bound(n, k), counts)
+
+
+def test_fundamental_formula_matches_vector_tally():
+    cases = [(n, k) for n in range(1, 6) for k in (1, 2, 3)] + [(4, 4)]
+    for n, k in cases:
+        for R in all_subsets(n):
+            assert identities.fundamental_comaj_polynomial(R, n, k) == (
+                _fundamental_by_vectors(R, n, k)
+            ), (sorted(R), n, k)
+
+
+def test_step_table_is_the_second_chain_component():
+    # after a step with prev the list reads in prev's order, whatever R is
+    for n in range(1, 5):
+        words = list(perm.symmetric_group(n))
+        table = identities._step_table(n)
+        for R in all_subsets(n):
+            for (p, prev), (s, sigma) in itertools.product(enumerate(words), repeat=2):
+                assert table[p][s] == engine.comaj_components(R, n, (prev, sigma))[1]
 
 
 def test_comaj_and_labeled_sides_reject_empty_inputs():
