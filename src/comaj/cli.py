@@ -228,11 +228,16 @@ def _all_subsets(n: int):
             yield frozenset(combo)
 
 
+def _positive(name: str, value: int) -> int:
+    """The value, which must be at least 1."""
+    if value < 1:
+        raise ValueError(f"need {name} >= 1, got {value}")
+    return value
+
+
 def _given_or_range(name: str, value: int | None, top: int) -> list[int]:
     """[value] when the option was given (it must be at least 1), else 1..top."""
-    if value is not None and value < 1:
-        raise ValueError(f"need {name} >= 1, got {value}")
-    return list(range(1, top + 1)) if value is None else [value]
+    return list(range(1, top + 1)) if value is None else [_positive(name, value)]
 
 
 def _ns(args) -> list[int]:
@@ -330,8 +335,15 @@ def _collect(results) -> tuple[list[str], bool]:
 
 def cmd_verify(args) -> int:
     _check_options(args)
-    jobs = args.jobs or int(os.environ.get("COMAJ_JOBS", "1"))
+    _positive("max-n", args.max_n)
+    _positive("max-k", args.max_k)
+    if args.jobs is not None:
+        jobs = _positive("jobs", args.jobs)
+    else:
+        jobs = _positive("COMAJ_JOBS", int(os.environ.get("COMAJ_JOBS", "1")))
     tasks = _verify_tasks(args)
+    if not tasks:
+        raise ValueError(f"verify {args.suite} selects no task")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

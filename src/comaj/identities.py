@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
 
@@ -23,6 +21,7 @@ from .qpoly import (
     QPoly,
     Truncation,
     collapse,
+    exact_div,
     pochhammer,
     pochhammer_all,
     schur_principal_jt,
@@ -38,7 +37,6 @@ class VerificationReport:
     params: dict
     status: str  # "pass" | "fail"
     digests: dict[str, str]
-    elapsed: float = 0.0
     counterexample: dict | None = None
 
     @property
@@ -46,7 +44,6 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_obj(self) -> dict:
-        # Elapsed time stays off the wire so report streams are byte-stable.
         return {
             "identity": self.identity,
             "params": self.params,
@@ -69,7 +66,7 @@ def _first_difference(a: QPoly, b: QPoly) -> dict | None:
 
 
 def _compare(identity: str, params: dict, pairs: list[tuple[Side, Side]],
-             started: float, extra_checks: list[dict] | None = None) -> VerificationReport:
+             extra_checks: list[dict] | None = None) -> VerificationReport:
     # Each name is digested once; a side equal to its partner (same k, D and
     # terms, compared without QPoly.__eq__, which raises on a mismatch) reuses
     # its digest.
@@ -101,7 +98,6 @@ def _compare(identity: str, params: dict, pairs: list[tuple[Side, Side]],
         params=params,
         status=status,
         digests=digests,
-        elapsed=time.perf_counter() - started,
         counterexample=counterexample,
     )
 
@@ -228,49 +224,31 @@ def graded_multiplicity_comaj(lam: Partition, k: int) -> QPoly:
     return collapse(schur_comaj_polynomial(lam, k))
 
 
-def graded_multiplicity_character(lam: Partition, k: int,
-                                  trunc: Truncation | None = None) -> QPoly:
+def graded_multiplicity_character(lam: Partition, k: int) -> QPoly:
     """The same multiplicity from character values and cycle-type series.
 
-    Averages [(q;q)_n * prod 1/(1-q^{mu_i})]^k against the characters
-    with exact rational bookkeeping; the result must collapse to
-    integers.
+    Averages [(q;q)_n * prod 1/(1-q^{mu_i})]^k against the characters:
+    each cycle type mu is weighted by its integer class size n!/z_mu and
+    the sum is divided by n! once, which raises ArithmeticError unless
+    every coefficient is an integer.
     """
     lam = partition(lam)
     n = sum(lam)
-    if trunc is None:
-        trunc = Truncation(1, exact_degree_bound(n, k))
-    if trunc.k != 1:
-        raise ValueError("character oracle is single-variable")
-    if trunc.D < exact_degree_bound(n, k):
-        raise ValueError(
-            f"need D >= {exact_degree_bound(n, k)} for an exact value, got {trunc.D}"
-        )
+    order = factorial(n)
+    trunc = Truncation(1, exact_degree_bound(n, k))
     poch_n = pochhammer(1, n, trunc)
-    acc: dict[tuple[int, ...], Fraction] = {}
+    acc = QPoly.zero(*trunc)
     for mu in partitions(n):
         series = poch_n
         for part in mu:
-            geo = QPoly(1, trunc.D, {(d * part,): 1 for d in range(trunc.D // part + 1)})
-            series = series * geo
-        powered = series**k
-        weight = Fraction(character(lam, mu), centralizer_size(mu))
-        for e, c in powered.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + weight * c
-    terms: dict[tuple[int, ...], int] = {}
-    for e, c in acc.items():
-        if c == 0:
-            continue
-        if c.denominator != 1:
-            raise ArithmeticError(f"non-integral multiplicity {c} at {e}")
-        terms[e] = int(c)
-    return QPoly(1, trunc.D, terms)
+            series = series * QPoly(*trunc, {(d * part,): 1 for d in range(trunc.D // part + 1)})
+        acc = acc + series**k * (character(lam, mu) * (order // centralizer_size(mu)))
+    return exact_div(acc, order)
 
 
 def verify_finite_evaluation(lam: Partition, k: int,
                              trunc: Truncation | None = None) -> VerificationReport:
     """Four-way check of the finite Schur principal evaluation."""
-    started = time.perf_counter()
     lam = partition(lam)
     n = sum(lam)
     bound = exact_degree_bound(n, k)
@@ -294,12 +272,11 @@ def verify_finite_evaluation(lam: Partition, k: int,
         ]
     )
     pairs.append((("jacobi_trudi_series", jt), ("ssyt_enumeration", ssyt)))
-    return _compare("finite_evaluation", params, pairs, started)
+    return _compare("finite_evaluation", params, pairs)
 
 
 def verify_kronecker_multiplicity(lam: Partition, k: int) -> VerificationReport:
     """Comaj path against the character oracle, plus the dimension count."""
-    started = time.perf_counter()
     lam = partition(lam)
     n = sum(lam)
     comaj_side = graded_multiplicity_comaj(lam, k)
@@ -310,7 +287,6 @@ def verify_kronecker_multiplicity(lam: Partition, k: int) -> VerificationReport:
         "kronecker_multiplicity",
         params,
         _chained([("comaj_path", comaj_side), ("character_path", character_side)]),
-        started,
         extra_checks=[
             {
                 "name": "value_at_one",
@@ -323,7 +299,6 @@ def verify_kronecker_multiplicity(lam: Partition, k: int) -> VerificationReport:
 
 def verify_fundamental_evaluation(R, n: int, k: int, trunc: Truncation) -> VerificationReport:
     """Pochhammer-normalized chain enumeration against the comaj formula."""
-    started = time.perf_counter()
     if trunc.k != k:
         raise ValueError(f"truncation has {trunc.k} variables, expected {k}")
     series = fundamental_principal_series(R, n, trunc)
@@ -334,7 +309,6 @@ def verify_fundamental_evaluation(R, n: int, k: int, trunc: Truncation) -> Verif
         "fundamental_evaluation",
         params,
         _chained([("pochhammer_enumeration", normalized), ("comaj_formula", formula)]),
-        started,
     )
 
 
@@ -345,7 +319,6 @@ def _closing(n: int, sigmas) -> tuple[int, ...]:
 
 def verify_row_case(n: int, k: int) -> VerificationReport:
     """Single-row shape: the comaj formula equals the product-one enumeration."""
-    started = time.perf_counter()
     lhs = schur_comaj_polynomial((n,), k)
     rhs = _tally(n, k, (
         tuple(perm.comaj(sigma) for sigma in (*sigmas, _closing(n, sigmas)))
@@ -366,7 +339,7 @@ def verify_row_case(n: int, k: int) -> VerificationReport:
             ("character_path", graded_multiplicity_character((n,), k)),
         )
     )
-    return _compare("row_case", {"n": n, "k": k}, pairs, started)
+    return _compare("row_case", {"n": n, "k": k}, pairs)
 
 
 def _within(cells: int, total: int):
@@ -429,7 +402,6 @@ def verify_injection_recursion(R, n: int, target, sigma,
     are enumerated; no factor has a negative degree, so the lists left
     out cannot disturb the truncated sides.
     """
-    started = time.perf_counter()
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if bound < 0:
@@ -457,13 +429,11 @@ def verify_injection_recursion(R, n: int, target, sigma,
         "injection_recursion",
         params,
         _chained([("pochhammer_times_chain_side", left), ("weighted_short_side", right)]),
-        started,
     )
 
 
 def verify_variable_reindex(lam: Partition, m: int) -> VerificationReport:
     """Adding a variable and deleting it again reaches the reversed m-variable value."""
-    started = time.perf_counter()
     lam = partition(lam)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -478,5 +448,4 @@ def verify_variable_reindex(lam: Partition, m: int) -> VerificationReport:
         "variable_reindex",
         params,
         _chained([("reversed_small", reversed_small), ("restricted_large", restricted)]),
-        started,
     )

@@ -38,6 +38,7 @@ class QPoly:
             raise ValueError(f"need k >= 1 and D >= 0, got k={k}, D={D}")
         self.k = k
         self.D = D
+        # The one place zero coefficients are dropped: ring operations pass raw sums.
         clean: dict[tuple[int, ...], int] = {}
         for e, c in (terms or {}).items():
             if c == 0:
@@ -92,11 +93,7 @@ class QPoly:
         self._check_compat(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, 0) + c
         return QPoly(self.k, self.D, out)
 
     def __neg__(self) -> QPoly:
@@ -124,11 +121,7 @@ class QPoly:
                 for ea, ca in at.items():
                     for eb, cb in bt.items():
                         e = tuple(x + y for x, y in zip(ea, eb))
-                        v = out.get(e, 0) + ca * cb
-                        if v:
-                            out[e] = v
-                        elif e in out:
-                            del out[e]
+                        out[e] = out.get(e, 0) + ca * cb
         return QPoly(self.k, self.D, out)
 
     def __rmul__(self, other) -> QPoly:
@@ -248,19 +241,11 @@ def geometric_inverse(unit: QPoly) -> QPoly:
         for j, ab in a_blocks.items():
             if j < 1 or j > d:
                 continue
-            src = inv_blocks.get(d - j)
-            if not src:
-                continue
             for ea, ca in ab.items():
-                for eb, cb in src.items():
+                for eb, cb in inv_blocks[d - j].items():
                     e = tuple(x + y for x, y in zip(ea, eb))
-                    v = blk.get(e, 0) - ca * cb
-                    if v:
-                        blk[e] = v
-                    elif e in blk:
-                        del blk[e]
-        if blk:
-            inv_blocks[d] = blk
+                    blk[e] = blk.get(e, 0) - ca * cb
+        inv_blocks[d] = blk
     merged = {e: c for blk in inv_blocks.values() for e, c in blk.items()}
     return QPoly(unit.k, unit.D, merged)
 
@@ -318,9 +303,9 @@ def schur_principal_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
         raise ValueError("partition must be nonempty")
     ell = len(lam)
 
-    def entry(i: int, j: int) -> QPoly | None:
+    def entry(i: int, j: int) -> QPoly:
         idx = lam[i] - (i + 1) + (j + 1)
-        return None if idx < 0 else homogeneous_principal(idx, trunc)
+        return QPoly.zero(*trunc) if idx < 0 else homogeneous_principal(idx, trunc)
 
     matrix = [[entry(i, j) for j in range(ell)] for i in range(ell)]
     return _determinant(matrix, trunc)
@@ -329,11 +314,11 @@ def schur_principal_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
 def _determinant(matrix, trunc: Truncation) -> QPoly:
     size = len(matrix)
     if size == 1:
-        return matrix[0][0] if matrix[0][0] is not None else QPoly.zero(*trunc)
+        return matrix[0][0]
     acc = QPoly.zero(*trunc)
     for i in range(size):
         pivot = matrix[i][0]
-        if pivot is None or pivot.is_zero():
+        if pivot.is_zero():
             continue
         minor = [row[1:] for j, row in enumerate(matrix) if j != i]
         term = pivot * _determinant(minor, trunc)
@@ -346,9 +331,5 @@ def collapse(p: QPoly) -> QPoly:
     out: dict[tuple[int], int] = {}
     for e, c in p._terms.items():
         key = (sum(e),)
-        v = out.get(key, 0) + c
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
+        out[key] = out.get(key, 0) + c
     return QPoly(1, p.D, out)

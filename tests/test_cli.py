@@ -238,7 +238,13 @@ def test_verify_prop41_stream_digest(capsys, argv, digest):
      "32eae2b4cba10a3914f3a926ad99ebd5cbb349785666a4b32f443e34973a1177"),
     (["multiplicity", "--n", "5", "--k", "2"],
      "ff37641d50c084d77c2e43a07b9c4a43a0ffb136403d3ef508698f91093358b4"),
-], ids=["kronecker-n4-k3", "reindex-n4-k3", "multiplicity-n5-k2"])
+    # these two also read the character oracle at every partition of n <= 5
+    (["verify", "kronecker", "--max-n", "5", "--max-k", "3", "--jobs", "1"],
+     "99ddd8d091ad31434f4c4fc07344619cce7463c9968efd5383f159ae4a688528"),
+    (["verify", "row", "--max-n", "5", "--max-k", "3", "--jobs", "1"],
+     "fda52c1d467bf9f284e153360551352b4ece6b81ebace130d82ab6508a8c8fd9"),
+], ids=["kronecker-n4-k3", "reindex-n4-k3", "multiplicity-n5-k2", "kronecker-n5-k3",
+        "row-n5-k3"])
 def test_comaj_formula_stream_digest(capsys, argv, digest):
     # streams built on schur_comaj_polynomial, as first recorded
     rc = cli.main(argv)
@@ -264,8 +270,13 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     (["row", "--n", "2", "--k", "2", "--bound", "3"], "verify row does not read --bound"),
     (["kronecker", "--lambda", "2,1", "--k", "2", "--D", "9"],
      "verify kronecker does not read --D"),
+    # a range that selects nothing is refused, not run as an empty stream
+    (["all", "--max-n", "0"], "need max-n >= 1, got 0"),
+    (["all", "--max-n", "2", "--max-k", "0"], "need max-k >= 1, got 0"),
+    (["prop41", "--n", "1"], "verify prop41 selects no task"),
 ], ids=["r0", "bound-1", "m0", "n0", "k0", "prop41-k", "reindex-k", "kronecker-n-lambda",
-        "finite-n-lambda", "row-bound", "kronecker-D"])
+        "finite-n-lambda", "row-bound", "kronecker-D", "all-max-n0", "all-max-k0",
+        "prop41-n1"])
 def test_verify_rejects_out_of_range_options(capsys, argv, message):
     # an explicit 0 is not the default range
     rc = cli.main(["verify", *argv, "--jobs", "1"])
@@ -320,6 +331,22 @@ def test_jobs_env_fallback(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 0
     assert len(out.strip().splitlines()) == 4
+
+
+@pytest.mark.parametrize("jobs, env, message", [
+    (["--jobs", "0"], "2", "need jobs >= 1, got 0"),
+    (["--jobs", "-2"], "2", "need jobs >= 1, got -2"),
+    ([], "0", "need COMAJ_JOBS >= 1, got 0"),
+], ids=["jobs0", "jobs-2", "env0"])
+def test_verify_rejects_jobs_below_one(capsys, monkeypatch, jobs, env, message):
+    # refused before any task runs: --jobs does not fall back to COMAJ_JOBS
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pytest.fail("pool started"))
+    monkeypatch.setenv("COMAJ_JOBS", env)
+    rc = cli.main(["verify", "row", "--max-n", "2", "--max-k", "2", *jobs])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
 
 
 def test_jobs_capped_by_cpus_and_tasks(capsys, monkeypatch):

@@ -63,6 +63,9 @@ def test_add_zero_and_scalars():
 @settings(max_examples=60)
 @given(qpolys(), qpolys(), qpolys())
 def test_ring_laws(a, b, c):
+    # the constructor is the one place zero coefficients are dropped
+    for p in (a + b, a - b, a * b, collapse(a - b)):
+        assert 0 not in p.terms.values()
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert a * b == b * a
@@ -83,7 +86,8 @@ def test_mismatched_truncations_error():
 
 def test_geometric_inverse():
     t = Truncation(1, 6)
-    assert geometric_inverse(QPoly.one(*t)) == QPoly.one(*t)
+    one = geometric_inverse(QPoly.one(*t))
+    assert one == QPoly.one(*t)
     inv = geometric_inverse(QPoly.one(*t) - QPoly.variable(*t, 1))
     assert inv == QPoly(1, 6, {(d,): 1 for d in range(7)})
     two_var = Truncation(2, 4)
@@ -92,6 +96,8 @@ def test_geometric_inverse():
     )
     inv2 = geometric_inverse(unit)
     assert unit * inv2 == QPoly.one(*two_var)
+    for p in (one, inv, inv2):
+        assert 0 not in p.terms.values()
     with pytest.raises(ValueError):
         geometric_inverse(QPoly.variable(*t, 1))
 
