@@ -312,9 +312,18 @@ def _check_options(args) -> None:
 
 
 def _verify_tasks(args) -> list[tuple[str, tuple]]:
-    """(verify function name, its arguments) for every report, in stream order."""
-    suites = SUITES if args.suite == "all" else (args.suite,)
-    return [(SUITES[s][0], payload) for s in suites for payload in SUITES[s][2](args)]
+    """(verify function name, its arguments) for every report, in stream order.
+
+    Every suite run must select a task, so ``all`` drops none silently.
+    """
+    tasks = []
+    for suite in SUITES if args.suite == "all" else (args.suite,):
+        name, _, payloads = SUITES[suite]
+        selected = [(name, payload) for payload in payloads(args)]
+        if not selected:
+            raise ValueError(f"verify {suite} selects no task")
+        tasks += selected
+    return tasks
 
 
 def _run_verify_task(task) -> tuple[bool, str]:
@@ -342,8 +351,6 @@ def cmd_verify(args) -> int:
     else:
         jobs = _positive("COMAJ_JOBS", int(os.environ.get("COMAJ_JOBS", "1")))
     tasks = _verify_tasks(args)
-    if not tasks:
-        raise ValueError(f"verify {args.suite} selects no task")
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -10,12 +10,26 @@ Principal evaluations substitute every monomial in q_1..q_k for the
 alphabet of a symmetric function: the power sum p_r becomes the product
 of 1/(1 - q_i^r), the homogeneous h_m follows from Newton's identity,
 and Schur values come from the Jacobi-Trudi determinant in the h's.
+
+A product multiplies whole rows.  A row gathers the terms of one head
+(all exponents but the last) into one Python int whose W-bit slot j
+holds the coefficient of q_k^j.  A head is keyed as its digits in base
+D + 1, so adding two keys adds the two heads.  Only row pairs whose head
+degrees sum to at most D are multiplied, and their products are summed
+per key.  Each exponent vector of a factor meets at most one partner per
+monomial of the product, so a product coefficient is a sum of at most
+min(#a, #b) term products.  With
+W = bits(max|a|) + bits(max|b|) + bits(min(#a, #b)) + 2 every such sum
+lies strictly between -2^(W-2) and 2^(W-2), so each row sum reads back
+exactly as balanced W-bit digits: mask, shift, and borrow one from the
+next slot when a digit is negative.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import defaultdict
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -43,7 +57,7 @@ class QPoly:
         for e, c in (terms or {}).items():
             if c == 0:
                 continue
-            if len(e) != k or any(x < 0 for x in e):
+            if len(e) != k or min(e) < 0:
                 raise ValueError(f"bad exponent vector for k={k}: {e!r}")
             if sum(e) <= D:
                 clean[e] = c
@@ -110,19 +124,26 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         self._check_compat(other)
-        # Group by total degree so entire blocks above the bound are skipped.
-        a_blocks = _degree_blocks(self._terms)
-        b_blocks = _degree_blocks(other._terms)
-        out: dict[tuple[int, ...], int] = {}
-        for da, at in a_blocks.items():
-            for db, bt in b_blocks.items():
-                if da + db > self.D:
-                    continue
-                for ea, ca in at.items():
-                    for eb, cb in bt.items():
-                        e = tuple(x + y for x, y in zip(ea, eb))
-                        out[e] = out.get(e, 0) + ca * cb
-        return QPoly(self.k, self.D, out)
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return QPoly(self.k, self.D)
+        D, base = self.D, self.D + 1
+        # Wide enough for every product coefficient (module docstring).
+        width = (
+            max(map(abs, a.values())).bit_length()
+            + max(map(abs, b.values())).bit_length()
+            + min(len(a), len(b)).bit_length()
+            + 2
+        )
+        b_rows = _rows(b, width, base)
+        sums: dict[int, int] = defaultdict(int)
+        for da, ka, va in _rows(a, width, base):
+            room = D - da
+            for db, kb, vb in b_rows:
+                if db > room:
+                    break
+                sums[ka + kb] += va * vb
+        return QPoly(self.k, D, _unpack_rows(sums, width, base, self.k - 1))
 
     def __rmul__(self, other) -> QPoly:
         if isinstance(other, int):
@@ -216,6 +237,44 @@ def _degree_blocks(terms: dict[tuple[int, ...], int]) -> dict[int, dict]:
     for e, c in terms.items():
         blocks.setdefault(sum(e), {})[e] = c
     return blocks
+
+
+def _rows(terms: Mapping[tuple[int, ...], int], width: int, base: int) -> list[tuple[int, int, int]]:
+    """(head degree, head key, packed row) for every head, in order of head degree."""
+    packed: dict[tuple[int, ...], int] = {}
+    for e, c in terms.items():
+        head = e[:-1]
+        packed[head] = packed.get(head, 0) + (c << width * e[-1])
+    rows = []
+    for head, v in packed.items():
+        key = 0
+        for x in head:
+            key = key * base + x
+        rows.append((sum(head), key, v))
+    rows.sort()
+    return rows
+
+
+def _unpack_rows(sums: dict[int, int], width: int, base: int, head_len: int) -> dict:
+    """Exponent vector -> coefficient, reading each row sum in balanced width-bit digits."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out: dict[tuple[int, ...], int] = {}
+    for key, v in sums.items():
+        head = ()
+        for _ in range(head_len):
+            key, x = divmod(key, base)
+            head = (x, *head)
+        for j in range(base - sum(head)):
+            if not v:
+                break
+            c = v & mask
+            v >>= width
+            if c >= half:
+                c -= mask + 1
+                v += 1
+            out[(*head, j)] = c
+    return out
 
 
 def exact_div(p: QPoly, m: int) -> QPoly:

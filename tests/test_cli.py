@@ -243,10 +243,15 @@ def test_verify_prop41_stream_digest(capsys, argv, digest):
      "99ddd8d091ad31434f4c4fc07344619cce7463c9968efd5383f159ae4a688528"),
     (["verify", "row", "--max-n", "5", "--max-k", "3", "--jobs", "1"],
      "fda52c1d467bf9f284e153360551352b4ece6b81ebace130d82ab6508a8c8fd9"),
+    # these two also read the QPoly product routes: Jacobi-Trudi and the chain enumeration
+    (["verify", "finite", "--max-n", "4", "--max-k", "3", "--jobs", "1"],
+     "9df519509f394fc6f02783238b87c08adcf60bc3fcb30263cbea88ac830d64a0"),
+    (["verify", "quasi", "--max-n", "4", "--max-k", "3", "--jobs", "1"],
+     "99a6b726f08dd78591eda37458d0a9c6eee0530bc5614879a4b07ebfd8e1913c"),
 ], ids=["kronecker-n4-k3", "reindex-n4-k3", "multiplicity-n5-k2", "kronecker-n5-k3",
-        "row-n5-k3"])
+        "row-n5-k3", "finite-n4-k3", "quasi-n4-k3"])
 def test_comaj_formula_stream_digest(capsys, argv, digest):
-    # streams built on schur_comaj_polynomial, as first recorded
+    # streams built on the comaj formula, as first recorded
     rc = cli.main(argv)
     out = capsys.readouterr().out
     assert rc == 0
@@ -274,9 +279,11 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     (["all", "--max-n", "0"], "need max-n >= 1, got 0"),
     (["all", "--max-n", "2", "--max-k", "0"], "need max-k >= 1, got 0"),
     (["prop41", "--n", "1"], "verify prop41 selects no task"),
+    # prop41 has no task below n = 2, and "all" names it instead of dropping it
+    (["all", "--max-n", "1", "--max-k", "1"], "verify prop41 selects no task"),
 ], ids=["r0", "bound-1", "m0", "n0", "k0", "prop41-k", "reindex-k", "kronecker-n-lambda",
         "finite-n-lambda", "row-bound", "kronecker-D", "all-max-n0", "all-max-k0",
-        "prop41-n1"])
+        "prop41-n1", "all-max-n1"])
 def test_verify_rejects_out_of_range_options(capsys, argv, message):
     # an explicit 0 is not the default range
     rc = cli.main(["verify", *argv, "--jobs", "1"])

@@ -9,6 +9,7 @@ from comaj.characters import centralizer_size
 from comaj.qpoly import (
     QPoly,
     Truncation,
+    _degree_blocks,
     collapse,
     exact_div,
     geometric_inverse,
@@ -27,6 +28,85 @@ def qpolys(k=2, D=4):
     return st.fixed_dictionaries({}, optional={e: coeffs for e in exps}).map(
         lambda terms: QPoly(k, D, terms)
     )
+
+
+def _sparse_product(a: QPoly, b: QPoly) -> QPoly:
+    """a * b one term pair at a time, skipping degree blocks above the bound."""
+    out: dict[tuple[int, ...], int] = {}
+    for da, at in _degree_blocks(a.terms).items():
+        for db, bt in _degree_blocks(b.terms).items():
+            if da + db > a.D:
+                continue
+            for ea, ca in at.items():
+                for eb, cb in bt.items():
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    out[e] = out.get(e, 0) + ca * cb
+    return QPoly(a.k, a.D, out)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two sparse QPolys at a drawn (k, D), with coefficients up to a drawn size."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    D = draw(st.integers(min_value=0, max_value=8))
+    exps = [e for e in itertools.product(range(D + 1), repeat=k) if sum(e) <= D]
+    size = draw(st.sampled_from([1, 7, 2**64, 2**300]))
+    terms = st.dictionaries(
+        st.sampled_from(exps), st.integers(min_value=-size, max_value=size), max_size=24
+    )
+    return QPoly(k, D, draw(terms)), QPoly(k, D, draw(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_packed_product_matches_sparse_product(pair):
+    a, b = pair
+    assert a * b == _sparse_product(a, b)
+    assert b * a == _sparse_product(b, a)
+
+
+def _full_block(k: int, D: int, c: int) -> QPoly:
+    return QPoly(k, D, {e: c for e in itertools.product(range(D + 1), repeat=k) if sum(e) <= D})
+
+
+@pytest.mark.parametrize("k, D", [(1, 0), (1, 12), (2, 0), (2, 6), (3, 5), (4, 3)])
+def test_packed_product_edge_cases(k, D):
+    top = 2**300 - 1
+    x = QPoly.variable(k, D, 1)
+    y = QPoly.variable(k, D, k)
+    # nonzero when D >= 1, but their product lies wholly above the bound
+    x_high = QPoly.variable(k, D, 1, D // 2 + 1)
+    y_high = QPoly.variable(k, D, k, D // 2 + 1)
+    cases = [
+        # every coefficient at the largest size, so the sums fill the slot width
+        (_full_block(k, D, top), _full_block(k, D, top)),
+        (_full_block(k, D, top), _full_block(k, D, -top)),
+        (_full_block(k, D, top), _full_block(k, D, 1) - QPoly.one(k, D) * 2),
+        # (1 + x)(1 - x) = 1 - x^2: the x coefficient cancels to zero
+        (QPoly.one(k, D) + x, QPoly.one(k, D) - x),
+        (x_high, y_high),
+        (_full_block(k, D, 3), QPoly.zero(k, D)),
+        (QPoly.zero(k, D), _full_block(k, D, 3)),
+        (QPoly(k, D, {(0,) * k: -5}), _full_block(k, D, 2**70)),
+        (y, _full_block(k, D, -1)),
+    ]
+    for a, b in cases:
+        assert a * b == _sparse_product(a, b)
+    assert (QPoly.one(k, D) + x) * (QPoly.one(k, D) - x) == (
+        QPoly.one(k, D) - QPoly.variable(k, D, 1, 2)
+    )
+    assert (x_high * y_high).is_zero()
+
+
+def test_packed_product_on_series_shapes():
+    t = Truncation(3, 8)
+    h3 = homogeneous_principal(3, t)
+    for a, b in [
+        (h3, power_sum_principal(1, t)),
+        (pochhammer_all(3, t), h3),
+        (h3, h3),
+    ]:
+        assert a * b == _sparse_product(a, b)
 
 
 def test_constructor_truncates_and_strips():
