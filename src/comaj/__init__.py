@@ -43,7 +43,6 @@ from .qpoly import (
     QPoly,
     Truncation,
     collapse,
-    geometric_inverse,
     homogeneous_principal,
     pochhammer,
     pochhammer_all,

@@ -133,7 +133,7 @@ def fundamental_comaj_polynomial(R, n: int, k: int) -> QPoly:
 
 @lru_cache(maxsize=256)
 def _fundamental_comaj(R: frozenset[int], n: int, k: int) -> QPoly:
-    """The comaj tally over permutation vectors, walked as a table over reading orders.
+    """The comaj tally over permutation vectors, walked as a table over descent classes.
 
     Reading-order lemma: after a label step with sigma, the reading order
     of the new list is sigma itself, and a position is a generalized
@@ -141,25 +141,28 @@ def _fundamental_comaj(R: frozenset[int], n: int, k: int) -> QPoly:
     order.  So step j >= 2 has the descents of sigma_j read through the
     inverse of sigma_{j-1}, whatever R and the list are.  Only step 1 sees
     R, through the empty list, whose reading order is
-    ``engine.zero_comaj_perm(R)``.  The value is therefore the sum over
-    sigma of q_1^{c_1(R, sigma)} times the R-independent ``_tails(n,
-    k - 1)`` entry of sigma, with c_1 taken from ``engine``.
+    ``engine.zero_comaj_perm(R)``.  The rest depends on sigma only through Des(sigma^{-1})
+    (Solomon's theorem, see ``_tails``), so the n! first steps are tallied by class.
     """
     if k == 1:
         return _tally(n, k, [engine.comaj_components(R, n, ())])
-    return QPoly(k, exact_degree_bound(n, k), _ahead(
-        (engine.comaj_components(R, n, (sigma,))[0], tail)
-        for sigma, tail in zip(perm.symmetric_group(n), _tails(n, k - 1))
-    ))
+    words = tuple(perm.symmetric_group(n))
+    first = zip((engine.comaj_components(R, n, (s,))[0] for s in words), _classes(words))
+    return QPoly(k, exact_degree_bound(n, k), _ahead(first, _tails(n, k - 1)))
 
 
-def _ahead(steps) -> Counter:
-    """Count (c, *e) over the (c, tail) pairs, each tail entry e with its count."""
+def _ahead(steps, tails) -> Counter:
+    """Tally the (c, E) steps, then count (c, *e) for each entry e of tails[E]."""
     acc: Counter = Counter()
-    for c, tail in steps:
-        for e, m in tail:
-            acc[(c, *e)] += m
+    for (c, E), m in Counter(steps).items():
+        for e, t in tails[E]:
+            acc[(c, *e)] += m * t
     return acc
+
+
+def _classes(words) -> tuple[frozenset[int], ...]:
+    """Des(s^{-1}) of each word s: the descent class that a step with s leads into."""
+    return tuple(perm.descent_set(perm.inverse(s)) for s in words)
 
 
 def _step_row(prev: perm.Perm, words) -> tuple[int, ...]:
@@ -175,27 +178,23 @@ def _step_row(prev: perm.Perm, words) -> tuple[int, ...]:
     return tuple(sum(n - i for i in range(1, n) if rank[s[i - 1]] > rank[s[i]]) for s in words)
 
 
-@lru_cache(maxsize=4)
-def _step_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row p, column s: ``_step_row`` of the p-th word at the s-th, in S_n's lex order."""
-    words = tuple(perm.symmetric_group(n))
-    return tuple(_step_row(prev, words) for prev in words)
-
-
 @lru_cache(maxsize=8)
-def _tails(n: int, j: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
-    """The last j comaj components after a step with each permutation, counted.
+def _tails(n: int, j: int) -> dict[frozenset[int], tuple[tuple[tuple[int, ...], int], ...]]:
+    """The last j comaj components after a step with p, counted, keyed by D = Des(p^{-1}).
 
-    Entry p holds (components, count) pairs for a list read in the p-th
-    order of ``perm.symmetric_group``: the closing identity step for
-    j = 1, else each next step s's table value ahead of every
-    tail_{j-1} entry of s.  Only j >= 2 builds the (n!)^2 step table.
+    A next step s has comaj(p^{-1} s), and the number of s with Des(p^{-1} s) = F and
+    Des(s^{-1}) = E is the coefficient of p^{-1} in B_F B_E, B_F the sum of the permutations
+    with descent set F.  That depends on p only through D, since the descent algebra is
+    closed under product (L. Solomon, J. Algebra 41, 1976).  Entry D is the closing step for
+    j = 1, else one representative's steps s, tallied by (comaj, Des(s^{-1})) ahead of tail_{j-1}.
     """
+    words = tuple(perm.symmetric_group(n))
+    classes = _classes(words)
     if j == 1:
-        closing = (perm.identity(n),)
-        return tuple(((_step_row(prev, closing), 1),) for prev in perm.symmetric_group(n))
+        return {D: (((sum(n - i for i in D),), 1),) for D in classes}
     below = _tails(n, j - 1)
-    return tuple(tuple(_ahead(zip(row, below)).items()) for row in _step_table(n))
+    return {D: tuple(_ahead(zip(_step_row(p, words), classes), below).items())
+            for D, p in dict(zip(classes, words)).items()}
 
 
 def schur_comaj_polynomial(lam: Partition, k: int) -> QPoly:

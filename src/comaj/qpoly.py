@@ -194,6 +194,8 @@ class QPoly:
         """Remove a variable that no term uses (1-based index)."""
         if self.k < 2:
             raise ValueError("cannot drop below one variable")
+        if not 1 <= index <= self.k:
+            raise ValueError(f"variable index out of range 1..{self.k}: {index}")
         if any(e[index - 1] != 0 for e in self._terms):
             raise ValueError(f"terms still use q_{index}")
         return QPoly(
@@ -230,13 +232,6 @@ class QPoly:
             parts.append(f"{c}{'*' + mono if mono else ''}")
         tail = " + ..." if len(self._terms) > 8 else ""
         return f"QPoly(k={self.k}, D={self.D}, {' + '.join(parts)}{tail})"
-
-
-def _degree_blocks(terms: dict[tuple[int, ...], int]) -> dict[int, dict]:
-    blocks: dict[int, dict[tuple[int, ...], int]] = {}
-    for e, c in terms.items():
-        blocks.setdefault(sum(e), {})[e] = c
-    return blocks
 
 
 def _rows(terms: Mapping[tuple[int, ...], int], width: int, base: int) -> list[tuple[int, int, int]]:
@@ -286,27 +281,6 @@ def exact_div(p: QPoly, m: int) -> QPoly:
             raise ArithmeticError(f"coefficient {c} of {e} not divisible by {m}")
         out[e] = q
     return QPoly(p.k, p.D, out)
-
-
-def geometric_inverse(unit: QPoly) -> QPoly:
-    """Multiplicative inverse up to the degree bound; constant term must be 1."""
-    zero_e = (0,) * unit.k
-    if unit.coeff(zero_e) != 1:
-        raise ValueError("constant term must be 1")
-    a_blocks = _degree_blocks(unit._terms)
-    inv_blocks: dict[int, dict[tuple[int, ...], int]] = {0: {zero_e: 1}}
-    for d in range(1, unit.D + 1):
-        blk: dict[tuple[int, ...], int] = {}
-        for j, ab in a_blocks.items():
-            if j < 1 or j > d:
-                continue
-            for ea, ca in ab.items():
-                for eb, cb in inv_blocks[d - j].items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    blk[e] = blk.get(e, 0) - ca * cb
-        inv_blocks[d] = blk
-    merged = {e: c for blk in inv_blocks.values() for e, c in blk.items()}
-    return QPoly(unit.k, unit.D, merged)
 
 
 def pochhammer(var_index: int, n: int, trunc: Truncation) -> QPoly:

@@ -116,14 +116,30 @@ def test_fundamental_formula_matches_vector_tally():
             ), (sorted(R), n, k)
 
 
-def test_step_table_is_the_second_chain_component():
+def test_step_row_is_the_second_chain_component():
     # after a step with prev the list reads in prev's order, whatever R is
     for n in range(1, 5):
         words = list(perm.symmetric_group(n))
-        table = identities._step_table(n)
-        for R in all_subsets(n):
-            for (p, prev), (s, sigma) in itertools.product(enumerate(words), repeat=2):
-                assert table[p][s] == engine.comaj_components(R, n, (prev, sigma))[1]
+        for prev in words:
+            row = identities._step_row(prev, words)
+            for R in all_subsets(n):
+                for value, sigma in zip(row, words):
+                    assert value == engine.comaj_components(R, n, (prev, sigma))[1]
+
+
+def test_step_tally_depends_only_on_the_inverse_descent_class():
+    # Solomon's theorem: the (comaj, Des(s^-1)) tally of the steps s after p
+    # is a function of Des(p^-1), so _tails keeps one entry per class
+    for n in range(1, 6):
+        words = list(perm.symmetric_group(n))
+        classes = [perm.descent_set(perm.inverse(s)) for s in words]
+        tallies = {}
+        for p, D in zip(words, classes):
+            tally = Counter(zip(identities._step_row(p, words), classes))
+            assert tallies.setdefault(D, tally) == tally, (n, p)
+        assert set(tallies) == set(all_subsets(n))
+        for j in (1, 2, 3):
+            assert set(identities._tails(n, j)) == set(all_subsets(n))
 
 
 def test_comaj_and_labeled_sides_reject_empty_inputs():

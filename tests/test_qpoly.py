@@ -9,10 +9,8 @@ from comaj.characters import centralizer_size
 from comaj.qpoly import (
     QPoly,
     Truncation,
-    _degree_blocks,
     collapse,
     exact_div,
-    geometric_inverse,
     homogeneous_principal,
     pochhammer,
     pochhammer_all,
@@ -28,6 +26,34 @@ def qpolys(k=2, D=4):
     return st.fixed_dictionaries({}, optional={e: coeffs for e in exps}).map(
         lambda terms: QPoly(k, D, terms)
     )
+
+
+def _degree_blocks(terms) -> dict[int, dict]:
+    blocks: dict[int, dict[tuple[int, ...], int]] = {}
+    for e, c in terms.items():
+        blocks.setdefault(sum(e), {})[e] = c
+    return blocks
+
+
+def geometric_inverse(unit: QPoly) -> QPoly:
+    """Multiplicative inverse up to the degree bound, one degree block at a time."""
+    zero_e = (0,) * unit.k
+    if unit.coeff(zero_e) != 1:
+        raise ValueError("constant term must be 1")
+    a_blocks = _degree_blocks(unit.terms)
+    inv_blocks: dict[int, dict[tuple[int, ...], int]] = {0: {zero_e: 1}}
+    for d in range(1, unit.D + 1):
+        blk: dict[tuple[int, ...], int] = {}
+        for j, ab in a_blocks.items():
+            if j < 1 or j > d:
+                continue
+            for ea, ca in ab.items():
+                for eb, cb in inv_blocks[d - j].items():
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    blk[e] = blk.get(e, 0) - ca * cb
+        inv_blocks[d] = blk
+    merged = {e: c for blk in inv_blocks.values() for e, c in blk.items()}
+    return QPoly(unit.k, unit.D, merged)
 
 
 def _sparse_product(a: QPoly, b: QPoly) -> QPoly:
@@ -339,3 +365,6 @@ def test_variable_helpers():
     assert q.drop_variable(1).terms == {(2,): 5}
     with pytest.raises(ValueError):
         p.drop_variable(1)
+    for index in (0, 3, -1):
+        with pytest.raises(ValueError, match=rf"variable index out of range 1\.\.2: {index}"):
+            q.drop_variable(index)
