@@ -64,6 +64,8 @@ def are_neighbors(R, n: int, i: int, j: int) -> bool:
 def _check_seqs(S: SeqList, n: int) -> None:
     if len(S) != n:
         raise ValueError(f"expected {n} sequences, got {len(S)}")
+    if not S:
+        raise ValueError("need at least one sequence")
     r = len(S[0])
     if any(len(s) != r for s in S):
         raise ValueError("sequences must share one length")
@@ -211,7 +213,8 @@ def zero_comaj_perm(R, n: int) -> Perm:
     """The unique permutation with zero comaj against the empty list.
 
     Built by listing the maximal R-runs of {1..n} in increasing order,
-    each run in decreasing order.
+    each run in decreasing order.  It reverses each run in place, so it is
+    its own inverse, and its descent set is R.
     """
     Rf = _check_r(R, n)
     word: list[int] = []

@@ -133,36 +133,39 @@ def fundamental_comaj_polynomial(R, n: int, k: int) -> QPoly:
 
 @lru_cache(maxsize=256)
 def _fundamental_comaj(R: frozenset[int], n: int, k: int) -> QPoly:
-    """The comaj tally over permutation vectors, walked as a table over descent classes.
+    """The comaj tally over permutation vectors, as one recursion over descent classes.
 
-    Reading-order lemma: after a label step with sigma, the reading order
-    of the new list is sigma itself, and a position is a generalized
-    descent exactly when the list reads its two values in the opposite
-    order.  So step j >= 2 has the descents of sigma_j read through the
-    inverse of sigma_{j-1}, whatever R and the list are.  Only step 1 sees
-    R, through the empty list, whose reading order is
-    ``engine.zero_comaj_perm(R)``.  The rest depends on sigma only through Des(sigma^{-1})
-    (Solomon's theorem, see ``_tails``), so the n! first steps are tallied by class.
+    F_R(q_1..q_k) = sum over s in S_n of q_1^{c_R(s)} F_{Des(s^{-1})}(q_2..q_k).
+
+    Reading-order lemma: after a label step with s, the reading order of
+    the new list is s itself, and a position is a generalized descent
+    exactly when the list reads its two values in the opposite order.  So
+    the steps after the first see only s, not R or the list, and step 1
+    reads the empty list in the order z_R = ``engine.zero_comaj_perm(R)``.
+    A step s after a list read in the order p has comaj(p^{-1} s), and the
+    number of s with Des(p^{-1} s) = F and Des(s^{-1}) = E is the
+    coefficient of p^{-1} in B_F B_E, B_F the sum of the permutations with
+    descent set F.  That depends on p only through Des(p^{-1}), since the
+    descent algebra is closed under product (L. Solomon, J. Algebra 41,
+    1976).  z_E is an involution with descent set E, so the steps after s
+    tally as the steps of F_E at k - 1 variables.
     """
     if k == 1:
         return _tally(n, k, [engine.comaj_components(R, n, ())])
-    words = tuple(perm.symmetric_group(n))
-    first = zip((engine.comaj_components(R, n, (s,))[0] for s in words), _classes(words))
-    return QPoly(k, exact_degree_bound(n, k), _ahead(first, _tails(n, k - 1)))
-
-
-def _ahead(steps, tails) -> Counter:
-    """Tally the (c, E) steps, then count (c, *e) for each entry e of tails[E]."""
+    words, classes = _words(n)
     acc: Counter = Counter()
-    for (c, E), m in Counter(steps).items():
-        for e, t in tails[E]:
+    steps = Counter(zip(_step_row(engine.zero_comaj_perm(R, n), words), classes))
+    for (c, E), m in steps.items():
+        for e, t in _fundamental_comaj(E, n, k - 1).terms.items():
             acc[(c, *e)] += m * t
-    return acc
+    return QPoly(k, exact_degree_bound(n, k), acc)
 
 
-def _classes(words) -> tuple[frozenset[int], ...]:
-    """Des(s^{-1}) of each word s: the descent class that a step with s leads into."""
-    return tuple(perm.descent_set(perm.inverse(s)) for s in words)
+@lru_cache(maxsize=8)
+def _words(n: int) -> tuple[tuple[perm.Perm, ...], tuple[frozenset[int], ...]]:
+    """S_n, and Des(s^{-1}) of each word s: the descent class that a step with s leads into."""
+    words = tuple(perm.symmetric_group(n))
+    return words, tuple(perm.descent_set(perm.inverse(s)) for s in words)
 
 
 def _step_row(prev: perm.Perm, words) -> tuple[int, ...]:
@@ -176,25 +179,6 @@ def _step_row(prev: perm.Perm, words) -> tuple[int, ...]:
     for pos, v in enumerate(prev):
         rank[v] = pos
     return tuple(sum(n - i for i in range(1, n) if rank[s[i - 1]] > rank[s[i]]) for s in words)
-
-
-@lru_cache(maxsize=8)
-def _tails(n: int, j: int) -> dict[frozenset[int], tuple[tuple[tuple[int, ...], int], ...]]:
-    """The last j comaj components after a step with p, counted, keyed by D = Des(p^{-1}).
-
-    A next step s has comaj(p^{-1} s), and the number of s with Des(p^{-1} s) = F and
-    Des(s^{-1}) = E is the coefficient of p^{-1} in B_F B_E, B_F the sum of the permutations
-    with descent set F.  That depends on p only through D, since the descent algebra is
-    closed under product (L. Solomon, J. Algebra 41, 1976).  Entry D is the closing step for
-    j = 1, else one representative's steps s, tallied by (comaj, Des(s^{-1})) ahead of tail_{j-1}.
-    """
-    words = tuple(perm.symmetric_group(n))
-    classes = _classes(words)
-    if j == 1:
-        return {D: (((sum(n - i for i in D),), 1),) for D in classes}
-    below = _tails(n, j - 1)
-    return {D: tuple(_ahead(zip(_step_row(p, words), classes), below).items())
-            for D, p in dict(zip(classes, words)).items()}
 
 
 def schur_comaj_polynomial(lam: Partition, k: int) -> QPoly:

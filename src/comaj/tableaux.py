@@ -40,7 +40,7 @@ def hook_length_count(shape: Partition) -> int:
     """Number of standard tableaux of the given shape, by hook lengths."""
     shape = partition(shape)
     n = sum(shape)
-    cols = [sum(1 for part in shape if part > c) for c in range(shape[0])]
+    cols = [sum(1 for part in shape if part > c) for c in range(max(shape, default=0))]
     product = 1
     for r, part in enumerate(shape):
         for c in range(part):

@@ -77,6 +77,15 @@ def test_descents_size_mismatch():
         engine.descents(frozenset(), engine.empty_seqlist(3), (1, 2))
     with pytest.raises(ValueError):
         engine.descents(frozenset(), ((0,), (0, 1)), (1, 2))
+    # the empty list (n = 0) is refused, not read at S[0]
+    for call in (lambda: engine.descents(frozenset(), (), ()),
+                 lambda: engine.comaj(frozenset(), (), ()),
+                 lambda: engine.prepend_labels(frozenset(), (), ()),
+                 lambda: engine.reading_order(frozenset(), ()),
+                 lambda: engine.seq_weight((), 1),
+                 lambda: engine.increment_suffix(frozenset(), (), 0, ())):
+        with pytest.raises(ValueError, match="need at least one sequence"):
+            call()
 
 
 # -- label steps and chains ----------------------------------------------------
@@ -388,7 +397,10 @@ def test_zero_comaj_unique_brute_force():
                 for w in perm.symmetric_group(n)
                 if engine.comaj(R, engine.empty_seqlist(n), w) == 0
             ]
-            assert hits == [engine.zero_comaj_perm(R, n)]
+            z = engine.zero_comaj_perm(R, n)
+            assert hits == [z]
+            assert perm.inverse(z) == z
+            assert perm.descent_set(z) == R
 
 
 # -- weights and labeled tableaux ----------------------------------------------

@@ -83,19 +83,19 @@ def test_fundamental_values_are_memoised(monkeypatch):
     identities._fundamental_comaj.cache_clear()
     for lam in partitions(4):
         identities.graded_multiplicity_comaj(lam, 2)
-    # one tally of S_4 per descent set of {1, 2, 3}, not one per tableau
-    assert len(calls) == 8 * 24
+    # the engine reads only the k = 1 base: one closing step per descent set
+    # of {1, 2, 3}, not one tally per tableau or per first step
+    assert sorted(map(sorted, calls)) == sorted(map(sorted, all_subsets(4)))
     # R given as a list, a set or a frozenset is one cache key
     values = [identities.fundamental_comaj_polynomial(R, 4, 2)
               for R in ([2, 1], {1, 2}, frozenset({1, 2}))]
     assert values[0] == values[1] == values[2]
-    assert len(calls) == 8 * 24
-    # k = 3 reads only step 1 from the engine: n! calls per descent set,
-    # where the per-vector tally made (n!)^2
+    assert len(calls) == 8
+    # k = 3 folds the cached k = 2 values of every class: no engine call
     calls.clear()
     for lam in partitions(4):
         identities.graded_multiplicity_comaj(lam, 3)
-    assert len(calls) == 8 * 24
+    assert calls == []
 
 
 def _fundamental_by_vectors(R, n, k):
@@ -129,7 +129,7 @@ def test_step_row_is_the_second_chain_component():
 
 def test_step_tally_depends_only_on_the_inverse_descent_class():
     # Solomon's theorem: the (comaj, Des(s^-1)) tally of the steps s after p
-    # is a function of Des(p^-1), so _tails keeps one entry per class
+    # is a function of Des(p^-1), so the steps after s tally as F_{Des(s^-1)}
     for n in range(1, 6):
         words = list(perm.symmetric_group(n))
         classes = [perm.descent_set(perm.inverse(s)) for s in words]
@@ -138,8 +138,11 @@ def test_step_tally_depends_only_on_the_inverse_descent_class():
             tally = Counter(zip(identities._step_row(p, words), classes))
             assert tallies.setdefault(D, tally) == tally, (n, p)
         assert set(tallies) == set(all_subsets(n))
-        for j in (1, 2, 3):
-            assert set(identities._tails(n, j)) == set(all_subsets(n))
+        # step 1 of F_R is a step after a list read in the order zero_comaj_perm(R)
+        for R in all_subsets(n):
+            row = identities._step_row(engine.zero_comaj_perm(R, n), words)
+            for value, s in zip(row, words):
+                assert value == engine.comaj_components(R, n, (s,))[0], (n, sorted(R), s)
 
 
 def test_comaj_and_labeled_sides_reject_empty_inputs():

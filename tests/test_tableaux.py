@@ -32,7 +32,7 @@ def test_single_column_descents():
 
 
 def test_enumeration_counts_match_hook_lengths():
-    for n in range(1, 7):
+    for n in range(0, 7):
         for lam in partitions(n):
             tabs = standard_tableaux(lam)
             assert len(tabs) == hook_length_count(lam)
