@@ -18,7 +18,9 @@ Strict lexicographic ordering plus that tie rule also defines the
 reading order of S, the permutation listing indices from smallest to
 largest.  ``prepend_labels`` turns descent counts into a new leading
 coordinate on every sequence; ``chain_steps`` takes a chain of such
-steps, whose final filling has the comaj components as coordinate sums.
+steps, whose final filling has the comaj components as coordinate sums;
+``closed_chain_weights`` walks every chain over a set of permutations
+depth first and yields only those sums.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def _prepend(positions: list[int], sigma: Perm, S: SeqList) -> SeqList:
         if i in dset:
             cur += 1
         lab[sigma[i] - 1] = cur
-    return tuple((lab[i],) + S[i] for i in range(n))
+    return tuple([(lab[i],) + S[i] for i in range(n)])
 
 
 def prepend_labels(R, sigma: Perm, S: SeqList) -> SeqList:
@@ -171,6 +173,38 @@ def comaj_components(R, n: int, sigmas) -> tuple[int, ...]:
     identity.
     """
     return tuple(sum(n - i for i in positions) for positions, _ in chain_steps(R, n, sigmas))
+
+
+def closed_chain_weights(R, n: int, words, steps: int):
+    """The weight of every closed label chain over the steps-tuples of words.
+
+    Walks the tuples depth first in the order of ``itertools.product(words,
+    repeat=steps)``, each closed by the identity, and yields the exponent
+    vector of each closed chain: component j is the column sum of the
+    labels that step j prepends, the sum of n - i over its descent
+    positions.  Each prefix list is built once.  R and the word sizes are
+    checked once, before the walk.
+    """
+    run = _run_ids(_check_r(R, n), n)
+    words = tuple(words)
+    for sigma in words:
+        if len(sigma) != n:
+            raise ValueError(f"permutation size {len(sigma)} != {n}")
+    if steps < 0:
+        raise ValueError(f"need steps >= 0, got {steps}")
+    last = identity(n)
+
+    def walk(S: SeqList, weight: tuple[int, ...], depth: int):
+        if depth == steps:
+            closing = _descent_positions(run, S, last)
+            yield (*weight, n * len(closing) - sum(closing))
+            return
+        for sigma in words:
+            positions = _descent_positions(run, S, sigma)
+            yield from walk(_prepend(positions, sigma, S),
+                            (*weight, n * len(positions) - sum(positions)), depth + 1)
+
+    return walk(empty_seqlist(n), (), 0)
 
 
 def reading_order(R, S: SeqList) -> Perm:

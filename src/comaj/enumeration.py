@@ -28,8 +28,10 @@ so the one chain counts exactly when R is empty.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations
+from typing import Mapping
 
 from .qpoly import QPoly, Truncation
 from .tableaux import Partition, partition, standard_tableaux
@@ -42,26 +44,46 @@ def fundamental_principal_series(R, n: int, trunc: Truncation) -> QPoly:
         raise ValueError(f"need n >= 1, got {n}")
     if any(not (1 <= i <= n - 1) for i in Rf):
         raise ValueError(f"R must be a subset of 1..{n - 1}: {sorted(Rf)!r}")
-    trunc = Truncation(*trunc)
-    return _chains(tuple(sorted(Rf)), n, trunc.k, trunc)
+    return _chains(tuple(sorted(Rf)), n, Truncation(*trunc))
 
 
 @lru_cache(maxsize=None)
-def _chains(R: tuple[int, ...], n: int, k: int, trunc: Truncation) -> QPoly:
-    """Lex multichains of length n in N^k strict at R; coordinate 1 pairs with q_k."""
-    if k == 0:
-        return QPoly.zero(*trunc) if R else QPoly.one(*trunc)
-    total = QPoly.zero(*trunc)
+def _chains(R: tuple[int, ...], n: int, trunc: Truncation) -> QPoly:
+    """Lex multichains of length n in N^k, k = trunc.k, strict at R; coordinate 1 pairs with q_k.
+
+    The blocks of every ascent set P have k - 1 coordinates, so each P adds
+    an outer product: its factor in q_k alone times the blocks' series in
+    q_1..q_{k-1}.
+    """
+    k, D = trunc
+    acc: dict[tuple[int, ...], int] = defaultdict(int)
     for size in range(n):
         for P in combinations(range(1, n), size):
             shift = sum(n - i for i in P)
-            if shift > trunc.D:
+            if shift > D:
                 continue
-            factor = QPoly.variable(trunc.k, trunc.D, k, shift)
-            for i in P:
-                factor = factor * _geometric(k, n - i, trunc)
-            total = total + factor * _blocks(_block_signature(R, n, P), k - 1, trunc)
-    return total * _geometric(k, n, trunc)
+            factor = _ascent_factor(shift, (n, *(n - i for i in P)), D)
+            factor = [(d, f) for d, f in enumerate(factor) if f]
+            for e, c in _blocks(_block_signature(R, n, P), k - 1, D).items():
+                room = D - sum(e)
+                for d, f in factor:
+                    if d > room:
+                        break
+                    acc[(*e, d)] += c * f
+    return QPoly._trusted(k, D, acc)
+
+
+def _ascent_factor(shift: int, cs: tuple[int, ...], D: int) -> list[int]:
+    """Coefficients of q^shift / prod_{c in cs} (1 - q^c) at degrees 0..D.
+
+    Dividing by 1 - q^c is a prefix sum with stride c.
+    """
+    out = [0] * (D + 1)
+    out[shift] = 1
+    for c in cs:
+        for d in range(shift + c, D + 1):
+            out[d] += out[d - c]
+    return out
 
 
 def _block_signature(R: tuple[int, ...], n: int, P: tuple[int, ...]):
@@ -75,28 +97,32 @@ def _block_signature(R: tuple[int, ...], n: int, P: tuple[int, ...]):
     return tuple(blocks)
 
 
+def _blocks(signature, k: int, D: int) -> Mapping[tuple[int, ...], int]:
+    """Terms of the product of the k-coordinate chain series of the blocks in a signature."""
+    if k == 0:
+        return {} if any(R for R, _ in signature) else {(): 1}
+    return _block_product(signature, Truncation(k, D)).terms
+
+
 @lru_cache(maxsize=None)
-def _blocks(signature, k: int, trunc: Truncation) -> QPoly:
-    """Product of the k-coordinate chain series of the blocks in a signature."""
-    if not signature:
-        return QPoly.one(*trunc)
+def _block_product(signature, trunc: Truncation) -> QPoly:
+    """Product of the chain series of the blocks, in trunc.k coordinates."""
     (R, n), rest = signature[0], signature[1:]
-    return _chains(R, n, k, trunc) * _blocks(rest, k, trunc)
-
-
-def _geometric(var: int, c: int, trunc: Truncation) -> QPoly:
-    """1 / (1 - q_var^c), truncated."""
-    k, D = trunc
-    return QPoly(
-        k, D, {(0,) * (var - 1) + (d * c,) + (0,) * (k - var): 1 for d in range(D // c + 1)}
-    )
+    head = _chains(R, n, trunc)
+    return head * _block_product(rest, trunc) if rest else head
 
 
 def schur_principal_by_tableaux(lam: Partition, trunc: Truncation) -> QPoly:
-    """Schur principal value as a sum of fundamental series over tableaux."""
+    """Schur principal value as a sum of fundamental series over tableaux.
+
+    Each distinct descent set is summed once, weighted by the number of
+    tableaux that have it.
+    """
     lam = partition(lam)
     n = sum(lam)
-    acc = QPoly.zero(*trunc)
-    for T in standard_tableaux(lam):
-        acc = acc + fundamental_principal_series(T.descent_set(), n, trunc)
-    return acc
+    trunc = Truncation(*trunc)
+    acc: Counter = Counter()
+    for R, m in Counter(T.descent_set() for T in standard_tableaux(lam)).items():
+        for e, c in fundamental_principal_series(R, n, trunc).terms.items():
+            acc[e] += m * c
+    return QPoly._trusted(trunc.k, trunc.D, acc)

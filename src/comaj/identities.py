@@ -182,24 +182,40 @@ def _step_row(prev: perm.Perm, words) -> tuple[int, ...]:
 
 
 def schur_comaj_polynomial(lam: Partition, k: int) -> QPoly:
-    """Sum of the fundamental values at the descent sets of the standard tableaux."""
+    """Sum of the fundamental values at the descent sets of the standard tableaux.
+
+    Each distinct descent set is summed once, weighted by the number of
+    tableaux that have it.
+    """
     lam = partition(lam)
     n = sum(lam)
-    return reduce(QPoly.__add__, (fundamental_comaj_polynomial(T.descent_set(), n, k)
-                                  for T in standard_tableaux(lam)))
+    acc: Counter = Counter()
+    for R, m in Counter(T.descent_set() for T in standard_tableaux(lam)).items():
+        for e, c in fundamental_comaj_polynomial(R, n, k).terms.items():
+            acc[e] += m * c
+    return QPoly._trusted(k, exact_degree_bound(n, k), acc)
 
 
 def labeled_tableau_polynomial(lam: Partition, k: int) -> QPoly:
-    """Same sum computed from the weights of closed label chains."""
+    """Same sum computed from the weights of closed label chains, streamed per tableau."""
     lam = partition(lam)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     n = sum(lam)
-    return _tally(n, k, (
-        engine.labeled_tableau(T, sigmas).weight(k)
-        for T in standard_tableaux(lam)
-        for sigmas in _sigma_vectors(n, k)
+    words = tuple(perm.symmetric_group(n))
+    return _tally(n, k, itertools.chain.from_iterable(
+        _checked_weights(T, words, k) for T in standard_tableaux(lam)
     ))
+
+
+def _checked_weights(T, words, k: int):
+    """T's closed-chain weights, the first checked against ``engine.labeled_tableau``."""
+    weights = engine.closed_chain_weights(T.descent_set(), T.n, words, k - 1)
+    first = next(weights)
+    expected = engine.labeled_tableau(T, (words[0],) * (k - 1)).weight(k)
+    if first != expected:
+        raise RuntimeError(f"chain walk gave {first} for {T!r}, labeled_tableau gave {expected}")
+    return itertools.chain((first,), weights)
 
 
 def graded_multiplicity_comaj(lam: Partition, k: int) -> QPoly:

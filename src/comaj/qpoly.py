@@ -52,7 +52,7 @@ class QPoly:
             raise ValueError(f"need k >= 1 and D >= 0, got k={k}, D={D}")
         self.k = k
         self.D = D
-        # The one place zero coefficients are dropped: ring operations pass raw sums.
+        # Zero coefficients are dropped here and in _trusted, never by the callers.
         clean: dict[tuple[int, ...], int] = {}
         for e, c in (terms or {}).items():
             if c == 0:
@@ -62,6 +62,19 @@ class QPoly:
             if sum(e) <= D:
                 clean[e] = c
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, k: int, D: int, terms: Mapping[tuple[int, ...], int]) -> QPoly:
+        """A QPoly over terms whose exponents the caller built valid for (k, D).
+
+        Only zero coefficients are dropped; the terms are copied, so the
+        caller may reuse its dict.
+        """
+        p = object.__new__(cls)
+        p.k = k
+        p.D = D
+        p._terms = {e: c for e, c in terms.items() if c}
+        return p
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
@@ -108,10 +121,10 @@ class QPoly:
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
-        return QPoly(self.k, self.D, out)
+        return QPoly._trusted(self.k, self.D, out)
 
     def __neg__(self) -> QPoly:
-        return QPoly(self.k, self.D, {e: -c for e, c in self._terms.items()})
+        return QPoly._trusted(self.k, self.D, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: QPoly) -> QPoly:
         if not isinstance(other, QPoly):
@@ -120,7 +133,7 @@ class QPoly:
 
     def __mul__(self, other) -> QPoly:
         if isinstance(other, int):
-            return QPoly(self.k, self.D, {e: c * other for e, c in self._terms.items()})
+            return QPoly._trusted(self.k, self.D, {e: c * other for e, c in self._terms.items()})
         if not isinstance(other, QPoly):
             return NotImplemented
         self._check_compat(other)
@@ -143,7 +156,7 @@ class QPoly:
                 if db > room:
                     break
                 sums[ka + kb] += va * vb
-        return QPoly(self.k, D, _unpack_rows(sums, width, base, self.k - 1))
+        return QPoly._trusted(self.k, D, _unpack_rows(sums, width, base, self.k - 1))
 
     def __rmul__(self, other) -> QPoly:
         if isinstance(other, int):
@@ -280,7 +293,7 @@ def exact_div(p: QPoly, m: int) -> QPoly:
         if rem:
             raise ArithmeticError(f"coefficient {c} of {e} not divisible by {m}")
         out[e] = q
-    return QPoly(p.k, p.D, out)
+    return QPoly._trusted(p.k, p.D, out)
 
 
 def pochhammer(var_index: int, n: int, trunc: Truncation) -> QPoly:
@@ -365,4 +378,4 @@ def collapse(p: QPoly) -> QPoly:
     for e, c in p._terms.items():
         key = (sum(e),)
         out[key] = out.get(key, 0) + c
-    return QPoly(1, p.D, out)
+    return QPoly._trusted(1, p.D, out)

@@ -248,13 +248,17 @@ def test_verify_prop41_stream_digest(capsys, argv, digest):
      "9df519509f394fc6f02783238b87c08adcf60bc3fcb30263cbea88ac830d64a0"),
     (["verify", "quasi", "--max-n", "4", "--max-k", "3", "--jobs", "1"],
      "99a6b726f08dd78591eda37458d0a9c6eee0530bc5614879a4b07ebfd8e1913c"),
+    # n = 5 at k = 3: all four finite routes, the labeled side over 120^2 vectors per tableau
+    (["verify", "finite", "--lambda", "3,1,1", "--k", "3", "--jobs", "1"],
+     "c70323f33d113a77804980f962353fead7e189ac05c728ebc56a257d86eab9dc"),
     # n = 6 at k = 3 and n = 5 at k = 4: beyond the per-vector tally of test_identities
     (["verify", "kronecker", "--n", "6", "--k", "3", "--jobs", "1"],
      "757bf02807f5bd47ab70d54e53a14b6a2c28756674ef2c9fb20b95945aab94d6"),
     (["verify", "kronecker", "--n", "5", "--k", "4", "--jobs", "1"],
      "f3d7bb431dd24304ed39d8e9482b5ae9f621a5849be90fecd37a8e954d0d33bf"),
 ], ids=["kronecker-n4-k3", "reindex-n4-k3", "multiplicity-n5-k2", "kronecker-n5-k3",
-        "row-n5-k3", "finite-n4-k3", "quasi-n4-k3", "kronecker-n6-k3", "kronecker-n5-k4"])
+        "row-n5-k3", "finite-n4-k3", "quasi-n4-k3", "finite-311-k3", "kronecker-n6-k3",
+        "kronecker-n5-k4"])
 def test_comaj_formula_stream_digest(capsys, argv, digest):
     # streams built on the comaj formula, as first recorded
     rc = cli.main(argv)

@@ -201,6 +201,34 @@ def test_chain_steps_validation():
         engine.label_chain(frozenset(), 3, ((1, 2, 3, 4),))
 
 
+def test_closed_chain_weights_match_labeled_tableaux():
+    # the depth-first walk yields the weights of the closed chains in product order
+    for n in range(1, 5):
+        words = tuple(perm.symmetric_group(n))
+        for lam in partitions(n):
+            for T in standard_tableaux(lam):
+                for k in range(1, 4):
+                    expected = [
+                        engine.labeled_tableau(T, sigmas).weight(k)
+                        for sigmas in itertools.product(words, repeat=k - 1)
+                    ]
+                    got = engine.closed_chain_weights(T.descent_set(), n, words, k - 1)
+                    assert list(got) == expected, (T, k)
+
+
+def test_closed_chain_weights_validation():
+    words = tuple(perm.symmetric_group(3))
+    # checked when called, before the first weight is asked for
+    with pytest.raises(ValueError):
+        engine.closed_chain_weights({3}, 3, words, 1)
+    with pytest.raises(ValueError):
+        engine.closed_chain_weights({0}, 3, words, 2)
+    with pytest.raises(ValueError):
+        engine.closed_chain_weights(frozenset(), 3, (*words, (2, 1)), 1)
+    with pytest.raises(ValueError):
+        engine.closed_chain_weights(frozenset(), 3, words, -1)
+
+
 def test_component_weight_consistency():
     rnd = random.Random(7)
     for _ in range(200):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import subprocess
@@ -82,6 +83,49 @@ def test_reading_condition_matches_brute_force():
             e = engine.seq_weight(S, k)
             expected[e] = expected.get(e, 0) + 1
         assert fundamental_principal_series(R, n, Truncation(k, D)) == QPoly(k, D, expected)
+
+
+def _geometric(var: int, c: int, trunc: Truncation) -> QPoly:
+    """1 / (1 - q_var^c), truncated."""
+    k, D = trunc
+    return QPoly(
+        k, D, {(0,) * (var - 1) + (d * c,) + (0,) * (k - var): 1 for d in range(D // c + 1)}
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _product_chains(R: tuple[int, ...], n: int, k: int, trunc: Truncation) -> QPoly:
+    """The chain series as a sum over ascent sets P of full k-variate products."""
+    if k == 0:
+        return QPoly.zero(*trunc) if R else QPoly.one(*trunc)
+    total = QPoly.zero(*trunc)
+    for size in range(n):
+        for P in itertools.combinations(range(1, n), size):
+            shift = sum(n - i for i in P)
+            if shift > trunc.D:
+                continue
+            factor = QPoly.variable(trunc.k, trunc.D, k, shift)
+            for i in P:
+                factor = factor * _geometric(k, n - i, trunc)
+            start = 1
+            for end in (*P, n):
+                inner = tuple(i - start + 1 for i in R if start <= i < end)
+                factor = factor * _product_chains(inner, end - start + 1, k - 1, trunc)
+                start = end + 1
+            total = total + factor
+    return total * _geometric(k, n, trunc)
+
+
+def test_outer_products_match_product_form():
+    # each ascent set's one-variable factor against its product of geometric series
+    for n in range(1, 5):
+        for k in range(1, 4):
+            for D in sorted({3, k * n * (n - 1) // 2}):
+                trunc = Truncation(k, D)
+                for size in range(n):
+                    for R in itertools.combinations(range(1, n), size):
+                        got = fundamental_principal_series(R, n, trunc)
+                        assert got == _product_chains(R, n, k, trunc), (R, n, trunc)
 
 
 def test_import_does_not_load_numpy():

@@ -166,6 +166,18 @@ def test_labeled_tableau_polynomial_matches_formula():
         )
 
 
+def test_labeled_side_checks_each_walk_against_labeled_tableau(monkeypatch):
+    real = engine.labeled_tableau
+
+    def shifted(T, sigmas):
+        L = real(T, sigmas)
+        return engine.LabeledTableau(L.base, tuple((s[0] + 1, *s[1:]) for s in L.filling))
+
+    monkeypatch.setattr(engine, "labeled_tableau", shifted)
+    with pytest.raises(RuntimeError, match="labeled_tableau gave"):
+        identities.labeled_tableau_polynomial((2, 1), 2)
+
+
 def test_labeled_fillings_are_distinct():
     for n in range(1, 4):
         for lam in partitions(n):

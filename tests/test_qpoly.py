@@ -135,6 +135,33 @@ def test_packed_product_on_series_shapes():
         assert a * b == _sparse_product(a, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(), st.sampled_from([0, 1, -1, 3, -(2**70)]))
+def test_kernel_outputs_are_in_normal_form(pair, m):
+    # each kernel builds its terms without the constructor's checks; rebuilding
+    # them through the constructor must change nothing
+    a, b = pair
+    outputs = [
+        a + b, a + (-a), a - b, a - a, -a, a * b, a * m, m * a,
+        exact_div(a * 6, 6), exact_div(a * m, m) if m else a, collapse(a), collapse(a - b),
+    ]
+    for p in outputs:
+        assert 0 not in p.terms.values()
+        rebuilt = QPoly(p.k, p.D, dict(p.terms))
+        assert (rebuilt.k, rebuilt.D) == (p.k, p.D)
+        assert dict(rebuilt.terms) == dict(p.terms)
+
+
+def test_trusted_value_is_a_copy_of_its_source():
+    source = {(0, 0): 1, (1, 0): 0, (0, 2): -4}
+    p = QPoly._trusted(2, 3, source)
+    assert dict(p.terms) == {(0, 0): 1, (0, 2): -4}
+    source[(0, 0)] = 99
+    source[(1, 1)] = 5
+    del source[(0, 2)]
+    assert dict(p.terms) == {(0, 0): 1, (0, 2): -4}
+
+
 def test_constructor_truncates_and_strips():
     p = QPoly(2, 3, {(0, 0): 1, (2, 2): 7, (1, 0): 0})
     assert p.terms == {(0, 0): 1}
@@ -169,7 +196,7 @@ def test_add_zero_and_scalars():
 @settings(max_examples=60)
 @given(qpolys(), qpolys(), qpolys())
 def test_ring_laws(a, b, c):
-    # the constructor is the one place zero coefficients are dropped
+    # no ring operation leaves a zero coefficient
     for p in (a + b, a - b, a * b, collapse(a - b)):
         assert 0 not in p.terms.values()
     assert (a + b) + c == a + (b + c)
