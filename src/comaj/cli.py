@@ -7,7 +7,9 @@ counts.  Exit codes: 0 success, 1 identity violation, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -76,14 +78,21 @@ def _format_set(values) -> str:
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _open_output(path: str | None):
+    """The -o file, opened before any work is done, or a stand-in when there is none."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext()
+    except OSError as err:
+        raise ValueError(f"cannot write {path}: {err.strerror}") from err
+
+
+def _emit(text: str, out) -> None:
+    if out is not None:
+        out.write(text)
     sys.stdout.write(text)
 
 
-def cmd_stat(args) -> int:
+def cmd_stat(args, out) -> int:
     shape = parse_partition_arg(args.shape)
     sigmas = parse_perms_arg(args.perms)
     if args.tableau:
@@ -101,32 +110,25 @@ def cmd_stat(args) -> int:
     n = T.n
     R = T.descent_set()
     steps = [
-        {"sigma": sigma, "descents": positions, "comaj": sum(n - i for i in positions), "chain": S}
+        {"sigma": list(sigma), "descents": positions, "comaj": sum(n - i for i in positions),
+         "chain": [list(s) for s in S]}
         for sigma, (positions, S) in zip(
             (*sigmas, perm.identity(n)), engine.chain_steps(R, n, sigmas)
         )
     ]
-    components = tuple(step["comaj"] for step in steps)
+    components = [step["comaj"] for step in steps]
     weight = engine.seq_weight(steps[-1]["chain"], len(steps))
     if args.format == "json":
         obj = {
             "shape": list(shape),
             "tableau": [list(r) for r in T.rows],
             "descent_set": sorted(R),
-            "steps": [
-                {
-                    "sigma": list(step["sigma"]),
-                    "descents": step["descents"],
-                    "comaj": step["comaj"],
-                    "chain": [list(s) for s in step["chain"]],
-                }
-                for step in steps
-            ],
-            "components": list(components),
+            "steps": steps,
+            "components": components,
             "weight": list(weight),
             "total": sum(components),
         }
-        _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", args.output)
+        _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", out)
         return 0
     lines = [
         f"shape: {','.join(str(p) for p in shape)}",
@@ -147,7 +149,7 @@ def cmd_stat(args) -> int:
         "weight: " + " ".join(f"q{i + 1}^{e}" for i, e in enumerate(weight))
     )
     lines.append(f"total: {sum(components)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("\n".join(lines) + "\n", out)
     return 0
 
 
@@ -160,7 +162,7 @@ def _poly_csv(poly: QPoly) -> str:
     return buf.getvalue()
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, out) -> int:
     if args.target == "schur":
         lam = parse_partition_arg(args.lambda_)
         n = sum(lam)
@@ -179,13 +181,13 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"D={args.D} is below the exact bound {bound}")
         poly = poly.rebound(args.D)
     if args.format == "csv":
-        _emit(_poly_csv(poly), args.output)
+        _emit(_poly_csv(poly), out)
     else:
-        _emit(poly.to_json() + "\n", args.output)
+        _emit(poly.to_json() + "\n", out)
     return 0
 
 
-def cmd_multiplicity(args) -> int:
+def cmd_multiplicity(args, out) -> int:
     n, k = args.n, args.k
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
@@ -208,7 +210,7 @@ def cmd_multiplicity(args) -> int:
             "weighted_total_at_one": weighted_total,
             "expected_dimension": expected,
         }
-        _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", args.output)
+        _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", out)
         return 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -218,7 +220,7 @@ def cmd_multiplicity(args) -> int:
     writer.writerow(
         ["TOTAL[q=1]", weighted_total, expected, "ok" if weighted_total == expected else "MISMATCH"]
     )
-    _emit(buf.getvalue(), args.output)
+    _emit(buf.getvalue(), out)
     return 0
 
 
@@ -274,7 +276,7 @@ SUITES = {
         (lam, k) for lam in _lams(a) for k in _ks(a)
     )),
     "quasi": ("verify_fundamental_evaluation", {"n", "r_set", "k", "D"}, lambda a: (
-        (R, n, k, Truncation(k, identities.exact_degree_bound(n, k) if a.D is None else a.D))
+        (R, n, k, None if a.D is None else Truncation(k, a.D))
         for n in _ns(a) for R in _rsets(a, n) for k in _ks(a)
     )),
     "row": ("verify_row_case", {"n", "k"}, lambda a: (
@@ -294,9 +296,10 @@ SUITES = {
     )),
 }
 
-# Each option without a default, by its attribute name.
-_OPTIONS = {"lambda_": "--lambda", "n": "--n", "k": "--k", "m": "--m", "r": "--r",
-            "r_set": "--r-set", "bound": "--bound", "D": "--D"}
+# Each verify option without a default, by its attribute name: (flag, type, help).
+_OPTIONS = {"lambda_": ("--lambda", None, None), "n": ("--n", int, None), "k": ("--k", int, None),
+            "m": ("--m", int, None), "r": ("--r", int, None), "r_set": ("--r-set", None, None),
+            "bound": ("--bound", int, "prop41 entry bound (default 4)"), "D": ("--D", int, None)}
 
 
 def _check_options(args) -> None:
@@ -304,7 +307,7 @@ def _check_options(args) -> None:
     if args.suite == "all":
         return
     reads = SUITES[args.suite][1]
-    for dest, flag in _OPTIONS.items():
+    for dest, (flag, _, _) in _OPTIONS.items():
         if getattr(args, dest) is not None and dest not in reads:
             raise ValueError(f"verify {args.suite} does not read {flag}")
     if args.lambda_ is not None and args.n is not None:
@@ -342,7 +345,7 @@ def _collect(results) -> tuple[list[str], bool]:
     return lines, passed
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     _check_options(args)
     _positive("max-n", args.max_n)
     _positive("max-k", args.max_k)
@@ -358,11 +361,13 @@ def cmd_verify(args) -> int:
             lines, passed = _collect(pool.map(_run_verify_task, tasks, chunksize=chunk))
     else:
         lines, passed = _collect(map(_run_verify_task, tasks))
-    _emit("".join(line + "\n" for line in lines), args.output)
+    _emit("".join(line + "\n" for line in lines), out)
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="comaj",
         description="Generalized comaj statistics and identity verification.",
@@ -382,59 +387,47 @@ def build_parser() -> argparse.ArgumentParser:
         "(or comma lists separated by ';' for n > 9); empty for none",
     )
     p_stat.add_argument("--format", choices=("text", "json"), default="text")
-    p_stat.add_argument("-o", "--output")
     p_stat.set_defaults(handler=cmd_stat)
 
     p_eval = sub.add_parser("evaluate", help="write one polynomial")
     eval_sub = p_eval.add_subparsers(dest="target", required=True)
-    for target in ("schur", "schur-jt"):
+    for target in ("schur", "schur-jt", "fundamental"):
         p = eval_sub.add_parser(target)
-        p.add_argument("--lambda", dest="lambda_", required=True)
+        if target == "fundamental":
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--r-set", dest="r_set", default="")
+        else:
+            p.add_argument("--lambda", dest="lambda_", required=True)
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--D", type=int)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("-o", "--output")
-        p.set_defaults(handler=cmd_evaluate, target=target)
-    p = eval_sub.add_parser("fundamental")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r-set", dest="r_set", default="")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--D", type=int)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("-o", "--output")
-    p.set_defaults(handler=cmd_evaluate, target="fundamental")
+        p.set_defaults(handler=cmd_evaluate)
 
     p_mult = sub.add_parser("multiplicity", help="graded multiplicity table")
     p_mult.add_argument("--n", type=int, required=True)
     p_mult.add_argument("--k", type=int, required=True)
     p_mult.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_mult.add_argument("-o", "--output")
     p_mult.set_defaults(handler=cmd_multiplicity)
 
     p_verify = sub.add_parser("verify", help="run identity suites")
     p_verify.add_argument("suite", choices=(*SUITES, "all"))
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=3)
     p_verify.add_argument("--max-k", dest="max_k", type=int, default=2)
-    p_verify.add_argument("--lambda", dest="lambda_")
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--m", type=int)
-    p_verify.add_argument("--r", type=int)
-    p_verify.add_argument("--r-set", dest="r_set")
-    p_verify.add_argument("--bound", type=int, help="prop41 entry bound (default 4)")
-    p_verify.add_argument("--D", type=int)
+    for dest, (flag, type_, help_) in _OPTIONS.items():
+        p_verify.add_argument(flag, dest=dest, type=type_, help=help_)
     p_verify.add_argument("--jobs", type=int)
-    p_verify.add_argument("-o", "--output")
     p_verify.set_defaults(handler=cmd_verify)
 
+    for command in (p_stat, *eval_sub.choices.values(), p_mult, p_verify):
+        command.add_argument("-o", "--output")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with _open_output(args.output) as out:
+            return args.handler(args, out)
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -283,10 +283,6 @@ class LabeledTableau:
     base: StandardTableau
     filling: SeqList
 
-    @property
-    def shape(self):
-        return self.base.shape
-
     def filled_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return tuple(
             tuple(self.filling[v - 1] for v in row) for row in self.base.rows

@@ -43,17 +43,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_obj(self) -> dict:
-        return {
-            "identity": self.identity,
-            "params": self.params,
-            "status": self.status,
-            "digests": self.digests,
-            "counterexample": self.counterexample,
-        }
-
     def to_json_line(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
 
 def _first_difference(a: QPoly, b: QPoly) -> dict | None:
@@ -296,8 +287,11 @@ def verify_kronecker_multiplicity(lam: Partition, k: int) -> VerificationReport:
     )
 
 
-def verify_fundamental_evaluation(R, n: int, k: int, trunc: Truncation) -> VerificationReport:
+def verify_fundamental_evaluation(R, n: int, k: int,
+                                  trunc: Truncation | None = None) -> VerificationReport:
     """Pochhammer-normalized chain enumeration against the comaj formula."""
+    if trunc is None:
+        trunc = Truncation(k, exact_degree_bound(n, k))
     if trunc.k != k:
         raise ValueError(f"truncation has {trunc.k} variables, expected {k}")
     series = fundamental_principal_series(R, n, trunc)

@@ -72,9 +72,6 @@ class StandardTableau:
         self.n = n
         self._row_of = {v: r for r, row in enumerate(rows) for v in row}
 
-    def row_of(self, value: int) -> int:
-        return self._row_of[value]
-
     def descent_set(self) -> frozenset[int]:
         return frozenset(
             i for i in range(1, self.n) if self._row_of[i + 1] > self._row_of[i]

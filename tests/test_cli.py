@@ -56,6 +56,22 @@ def test_stat_second_example(capsys):
     assert "total: 21" in out
 
 
+README_STAT = ["stat", "--shape", "4,2,1", "--tableau", "1,2,4,5/3,6/7",
+               "--perms", "3651274,6523417,1423567"]
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "bce9c2ab58a8387a55a00a6a7fca2b1e35eb1c9155742c4cf349485a1f006ee8"),
+    ("json", "506f1fc5ab0f2f1c88f42864fc964b5c7672b4b3fef5900cb78dbc2734d91abb"),
+])
+def test_stat_readme_example_digest(capsys, fmt, digest):
+    # the README's stat example, as first recorded, in both formats
+    rc = cli.main([*README_STAT, "--format", fmt])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_stat_trivial_shape(capsys):
     rc = cli.main(["stat", "--shape", "1", "--perms", ""])
     out = capsys.readouterr().out
@@ -284,6 +300,11 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     (["row", "--n", "2", "--k", "2", "--bound", "3"], "verify row does not read --bound"),
     (["kronecker", "--lambda", "2,1", "--k", "2", "--D", "9"],
      "verify kronecker does not read --D"),
+    (["quasi", "--n", "2", "--k", "1", "--m", "1"], "verify quasi does not read --m"),
+    (["row", "--n", "2", "--k", "2", "--r", "1"], "verify row does not read --r"),
+    (["finite", "--lambda", "2,1", "--k", "1", "--r-set", "1"],
+     "verify finite does not read --r-set"),
+    (["quasi", "--lambda", "2,1"], "verify quasi does not read --lambda"),
     # a range that selects nothing is refused, not run as an empty stream
     (["all", "--max-n", "0"], "need max-n >= 1, got 0"),
     (["all", "--max-n", "2", "--max-k", "0"], "need max-k >= 1, got 0"),
@@ -291,7 +312,8 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     # prop41 has no task below n = 2, and "all" names it instead of dropping it
     (["all", "--max-n", "1", "--max-k", "1"], "verify prop41 selects no task"),
 ], ids=["r0", "bound-1", "m0", "n0", "k0", "prop41-k", "reindex-k", "kronecker-n-lambda",
-        "finite-n-lambda", "row-bound", "kronecker-D", "all-max-n0", "all-max-k0",
+        "finite-n-lambda", "row-bound", "kronecker-D", "quasi-m", "row-r", "finite-r-set",
+        "quasi-lambda", "all-max-n0", "all-max-k0",
         "prop41-n1", "all-max-n1"])
 def test_verify_rejects_out_of_range_options(capsys, argv, message):
     # an explicit 0 is not the default range
@@ -330,6 +352,20 @@ def test_verify_output_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert target.read_text() == out
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # refused before any task runs, with nothing on stdout
+    monkeypatch.setattr(cli.identities, "verify_row_case",
+                        lambda n, k: pytest.fail("task ran"))
+    target = str(tmp_path / "missing" / "x")
+    for argv in (["verify", "row", "--n", "2", "--k", "2"],
+                 ["evaluate", "schur", "--lambda", "2,1"]):
+        rc = cli.main([*argv, "-o", target])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"error: cannot write {target}: No such file or directory" in captured.err
 
 
 def test_byte_identical_reruns():
@@ -392,3 +428,28 @@ def test_jobs_capped_by_cpus_and_tasks(capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert cli.main(args) == 0
     assert sizes == []
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "cb9f19d4e1fdda2bee1b7a5eceae71f1a32e8f2a104cf45e9b1c3369888ea057"),
+    (["verify"], "dd138fb1d15707d21070e830da2b7971a12adcddb984899ab119f1bda2dcf515"),
+    (["evaluate"], "13ffdf4ddeda39b5007f2e8eb5734a784fc41230127de65b883d352baded55e9"),
+    (["evaluate", "schur"], "a39f9c13c51a09ead0529f368fe675c8871c39c8de1f9d222d9db5a022f5179c"),
+    (["evaluate", "schur-jt"],
+     "661efa780f1970df585241467fe47fbcf14c8ec07c4b7241d78d87a3841ed95d"),
+    (["evaluate", "fundamental"],
+     "e4d99e420df6702d82f429af904a878f5808c43fad773b33aecf2a6e1f125096"),
+], ids=["comaj", "verify", "evaluate", "evaluate-schur", "evaluate-schur-jt",
+        "evaluate-fundamental"])
+def test_help_text_digest(capsys, monkeypatch, argv, digest):
+    # argparse wraps help to the terminal width, so fix it; recorded under Python 3.11
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()

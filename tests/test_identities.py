@@ -286,6 +286,21 @@ def test_fundamental_driver():
     assert report.passed
 
 
+def test_fundamental_driver_defaults_to_exact_bound():
+    # without a truncation the driver compares at D = k n(n-1)/2, as the finite one does
+    for n in range(1, 4):
+        for R in itertools.chain.from_iterable(
+            itertools.combinations(range(1, n), size) for size in range(n)
+        ):
+            for k in (1, 2):
+                exact = Truncation(k, identities.exact_degree_bound(n, k))
+                assert identities.verify_fundamental_evaluation(
+                    frozenset(R), n, k
+                ).to_json_line() == identities.verify_fundamental_evaluation(
+                    frozenset(R), n, k, exact
+                ).to_json_line()
+
+
 def test_row_case_driver():
     report = identities.verify_row_case(2, 2)
     assert report.passed
