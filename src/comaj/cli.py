@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 
 from . import engine, identities, perm
@@ -251,7 +250,7 @@ def _ks(args) -> list[int]:
 
 
 def _lams(args) -> list[tuple[int, ...]]:
-    if args.lambda_:
+    if args.lambda_ is not None:
         return [parse_partition_arg(args.lambda_)]
     return [lam for n in _ns(args) for lam in partitions(n)]
 
@@ -261,6 +260,8 @@ def _rsets(args, n: int) -> list[frozenset[int]]:
         return [parse_set_arg(args.r_set)]
     return list(_all_subsets(n))
 
+
+PROP41_BOUND = 4  # prop41's entry bound when --bound is not given
 
 # Suite name -> (the identities.verify_* function that runs its tasks, the
 # options without a default that the suite reads, that function's argument
@@ -283,7 +284,7 @@ SUITES = {
         (n, k) for n in _ns(a) for k in _ks(a)
     )),
     "prop41": ("verify_injection_recursion", {"n", "r", "r_set", "bound"}, lambda a: (
-        (R, n, target, sigma, r, 4 if a.bound is None else a.bound)
+        (R, n, target, sigma, r, PROP41_BOUND if a.bound is None else a.bound)
         for n in _ns(a) if n >= 2
         for r in ([a.r] if a.r is not None else [1, 2])
         for R in _rsets(a, n)
@@ -299,7 +300,8 @@ SUITES = {
 # Each verify option without a default, by its attribute name: (flag, type, help).
 _OPTIONS = {"lambda_": ("--lambda", None, None), "n": ("--n", int, None), "k": ("--k", int, None),
             "m": ("--m", int, None), "r": ("--r", int, None), "r_set": ("--r-set", None, None),
-            "bound": ("--bound", int, "prop41 entry bound (default 4)"), "D": ("--D", int, None)}
+            "bound": ("--bound", int, f"prop41 entry bound (default {PROP41_BOUND})"),
+            "D": ("--D", int, None)}
 
 
 def _check_options(args) -> None:
@@ -336,15 +338,6 @@ def _run_verify_task(task) -> tuple[bool, str]:
     return report.passed, report.to_json_line()
 
 
-def _collect(results) -> tuple[list[str], bool]:
-    """The report lines in task order, and whether every report passed."""
-    lines, passed = [], True
-    for ok, line in results:
-        lines.append(line)
-        passed = passed and ok
-    return lines, passed
-
-
 def cmd_verify(args, out) -> int:
     _check_options(args)
     _positive("max-n", args.max_n)
@@ -355,13 +348,18 @@ def cmd_verify(args, out) -> int:
         jobs = _positive("COMAJ_JOBS", int(os.environ.get("COMAJ_JOBS", "1")))
     tasks = _verify_tasks(args)
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    passed = True
+    with contextlib.ExitStack() as stack:
+        results = map(_run_verify_task, tasks)
+        if workers > 1:
+            # imported here: it loads multiprocessing, which only a pool needs
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             chunk = max(1, len(tasks) // (workers * 4))
-            lines, passed = _collect(pool.map(_run_verify_task, tasks, chunksize=chunk))
-    else:
-        lines, passed = _collect(map(_run_verify_task, tasks))
-    _emit("".join(line + "\n" for line in lines), out)
+            results = pool.map(_run_verify_task, tasks, chunksize=chunk)
+        for ok, line in results:
+            _emit(line + "\n", out)
+            passed = passed and ok
     return 0 if passed else 1
 
 

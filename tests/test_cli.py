@@ -305,6 +305,8 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     (["finite", "--lambda", "2,1", "--k", "1", "--r-set", "1"],
      "verify finite does not read --r-set"),
     (["quasi", "--lambda", "2,1"], "verify quasi does not read --lambda"),
+    # an empty --lambda is a bad partition, not the default sweep
+    (["kronecker", "--lambda", "", "--max-n", "2", "--max-k", "1"], "bad partition ''"),
     # a range that selects nothing is refused, not run as an empty stream
     (["all", "--max-n", "0"], "need max-n >= 1, got 0"),
     (["all", "--max-n", "2", "--max-k", "0"], "need max-k >= 1, got 0"),
@@ -313,7 +315,7 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     (["all", "--max-n", "1", "--max-k", "1"], "verify prop41 selects no task"),
 ], ids=["r0", "bound-1", "m0", "n0", "k0", "prop41-k", "reindex-k", "kronecker-n-lambda",
         "finite-n-lambda", "row-bound", "kronecker-D", "quasi-m", "row-r", "finite-r-set",
-        "quasi-lambda", "all-max-n0", "all-max-k0",
+        "quasi-lambda", "empty-lambda", "all-max-n0", "all-max-k0",
         "prop41-n1", "all-max-n1"])
 def test_verify_rejects_out_of_range_options(capsys, argv, message):
     # an explicit 0 is not the default range
@@ -354,6 +356,31 @@ def test_verify_output_file(tmp_path, capsys):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_run_keeps_finished_reports(tmp_path, capsys, jobs):
+    # the 7th task, shape (3), needs D >= 3: the 6 reports before it are written
+    target = tmp_path / "reports.jsonl"
+    argv = ["verify", "finite", "--max-n", "3", "--max-k", "2", "--D", "2", "--jobs", jobs]
+    rc = cli.main([*argv, "-o", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: need D >= 3" in captured.err
+    reports = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(r["params"]["lambda"], r["params"]["k"]) for r in reports] == [
+        ([1], 1), ([1], 2), ([2], 1), ([2], 2), ([1, 1], 1), ([1, 1], 2)]
+    assert all(r["status"] == "pass" for r in reports)
+    assert target.read_text() == captured.out
+
+
+def test_parser_does_not_import_multiprocessing():
+    # only a run that starts a process pool pays for importing one
+    script = ("import sys; from comaj import cli; cli.build_parser(); "
+              "print('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # refused before any task runs, with nothing on stdout
     monkeypatch.setattr(cli.identities, "verify_row_case",
@@ -392,7 +419,8 @@ def test_jobs_env_fallback(capsys, monkeypatch):
 ], ids=["jobs0", "jobs-2", "env0"])
 def test_verify_rejects_jobs_below_one(capsys, monkeypatch, jobs, env, message):
     # refused before any task runs: --jobs does not fall back to COMAJ_JOBS
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: pytest.fail("pool started"))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda **kw: pytest.fail("pool started"))
     monkeypatch.setenv("COMAJ_JOBS", env)
     rc = cli.main(["verify", "row", "--max-n", "2", "--max-k", "2", *jobs])
     captured = capsys.readouterr()
@@ -418,7 +446,7 @@ def test_jobs_capped_by_cpus_and_tasks(capsys, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     args = ["verify", "row", "--max-n", "2", "--max-k", "2", "--jobs", "5000"]  # 4 tasks
     for cpus, expected in [(3, 3), (64, 4)]:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
