@@ -12,7 +12,7 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, prod
 
 from . import engine, perm
 from .characters import centralizer_size, character
@@ -113,17 +113,25 @@ def _tally(n: int, k: int, exponents) -> QPoly:
     return QPoly(k, exact_degree_bound(n, k), Counter(exponents))
 
 
-def fundamental_comaj_polynomial(R, n: int, k: int) -> QPoly:
-    """Sum over permutation vectors of the comaj-component weight, memoised per (R, n, k)."""
+def fundamental_comaj_polynomial(R, n: int, k: int, chamber: bool = False) -> QPoly:
+    """Sum over permutation vectors of the comaj-component weight, memoised per (R, n, k).
+
+    ``chamber`` keeps only the terms at weakly decreasing exponent vectors.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return _fundamental_comaj(frozenset(R), n, k)
+    return _fundamental_comaj(frozenset(R), n, k, chamber and k > 1)
 
 
-@lru_cache(maxsize=256)
-def _fundamental_comaj(R: frozenset[int], n: int, k: int) -> QPoly:
+# Cache bounds: 2^(n-1) descent classes for each n <= 8, and their values at
+# k = 1 and in both modes at k = 2..4.
+_CLASSES = 2**8 - 1
+
+
+@lru_cache(maxsize=7 * _CLASSES)
+def _fundamental_comaj(R: frozenset[int], n: int, k: int, chamber: bool) -> QPoly:
     """The comaj tally over permutation vectors, as one recursion over descent classes.
 
     F_R(q_1..q_k) = sum over s in S_n of q_1^{c_R(s)} F_{Des(s^{-1})}(q_2..q_k).
@@ -139,17 +147,28 @@ def _fundamental_comaj(R: frozenset[int], n: int, k: int) -> QPoly:
     descent set F.  That depends on p only through Des(p^{-1}), since the
     descent algebra is closed under product (L. Solomon, J. Algebra 41,
     1976).  z_E is an involution with descent set E, so the steps after s
-    tally as the steps of F_E at k - 1 variables.
+    tally as the steps of F_E at k - 1 variables.  The term at (c, e_2..e_k)
+    reads F_E only at (e_2..e_k), so the chamber of F_R folds the chamber of
+    F_E, keeping a term only when e_2 <= c.
     """
     if k == 1:
         return _tally(n, k, [engine.comaj_components(R, n, ())])
+    rows: defaultdict[int, dict] = defaultdict(dict)
+    for (c, E), m in _step_table(R, n):
+        row = rows[c]
+        for e, t in _fundamental_comaj(E, n, k - 1, chamber and k > 2).terms.items():
+            if not chamber or e[0] <= c:
+                row[e] = row.get(e, 0) + m * t
+    # c <= n(n-1)/2, so every exponent vector is within the exact degree bound.
+    return QPoly._trusted(k, exact_degree_bound(n, k),
+                          {(c, *e): t for c, row in rows.items() for e, t in row.items()})
+
+
+@lru_cache(maxsize=_CLASSES)
+def _step_table(R: frozenset[int], n: int) -> tuple[tuple[tuple[int, frozenset[int]], int], ...]:
+    """How many first steps s of F_R have comaj c_R(s) and lead into the class Des(s^{-1})."""
     words, classes = _words(n)
-    acc: Counter = Counter()
-    steps = Counter(zip(_step_row(engine.zero_comaj_perm(R, n), words), classes))
-    for (c, E), m in steps.items():
-        for e, t in _fundamental_comaj(E, n, k - 1).terms.items():
-            acc[(c, *e)] += m * t
-    return QPoly(k, exact_degree_bound(n, k), acc)
+    return tuple(Counter(zip(_step_row(engine.zero_comaj_perm(R, n), words), classes)).items())
 
 
 @lru_cache(maxsize=8)
@@ -172,17 +191,18 @@ def _step_row(prev: perm.Perm, words) -> tuple[int, ...]:
     return tuple(sum(n - i for i in range(1, n) if rank[s[i - 1]] > rank[s[i]]) for s in words)
 
 
-def schur_comaj_polynomial(lam: Partition, k: int) -> QPoly:
+def schur_comaj_polynomial(lam: Partition, k: int, chamber: bool = False) -> QPoly:
     """Sum of the fundamental values at the descent sets of the standard tableaux.
 
     Each distinct descent set is summed once, weighted by the number of
-    tableaux that have it.
+    tableaux that have it.  The sum is symmetric in q_1..q_k, so its
+    ``chamber`` terms, at weakly decreasing exponent vectors, determine it.
     """
     lam = partition(lam)
     n = sum(lam)
     acc: Counter = Counter()
     for R, m in Counter(T.descent_set() for T in standard_tableaux(lam)).items():
-        for e, c in fundamental_comaj_polynomial(R, n, k).terms.items():
+        for e, c in fundamental_comaj_polynomial(R, n, k, chamber).terms.items():
             acc[e] += m * c
     return QPoly._trusted(k, exact_degree_bound(n, k), acc)
 
@@ -210,8 +230,16 @@ def _checked_weights(T, words, k: int):
 
 
 def graded_multiplicity_comaj(lam: Partition, k: int) -> QPoly:
-    """Single-variable graded multiplicity via total comaj weights."""
-    return collapse(schur_comaj_polynomial(lam, k))
+    """Single-variable graded multiplicity via total comaj weights.
+
+    The collapse of the symmetric Schur side, read off its chamber: each term
+    counts once per distinct permutation of its exponents.
+    """
+    side = schur_comaj_polynomial(lam, k, chamber=True)
+    acc: Counter = Counter()
+    for e, c in side.terms.items():
+        acc[(sum(e),)] += c * (factorial(k) // prod(map(factorial, Counter(e).values())))
+    return QPoly._trusted(1, side.D, acc)
 
 
 def graded_multiplicity_character(lam: Partition, k: int) -> QPoly:

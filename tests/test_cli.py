@@ -272,9 +272,17 @@ def test_verify_prop41_stream_digest(capsys, argv, digest):
      "757bf02807f5bd47ab70d54e53a14b6a2c28756674ef2c9fb20b95945aab94d6"),
     (["verify", "kronecker", "--n", "5", "--k", "4", "--jobs", "1"],
      "f3d7bb431dd24304ed39d8e9482b5ae9f621a5849be90fecd37a8e954d0d33bf"),
+    # n = 6 at k = 4 and n = 7 at k = 3, recorded from the full recursion before
+    # kronecker and multiplicity read the chamber
+    (["verify", "kronecker", "--lambda", "3,2,1", "--k", "4", "--jobs", "1"],
+     "06999ea7339a3342cde9e20012f927a6774717253e569b56cd1501249881b57d"),
+    (["verify", "kronecker", "--n", "7", "--k", "3", "--jobs", "1"],
+     "df8318365d2918b367b076c874f803d285d7220f9d939985999bb51f338192c4"),
+    (["multiplicity", "--n", "6", "--k", "3"],
+     "25f5f7681ebcc593e0d271c068112b08a6c4d2ae71c998b3344051915e3ec5d9"),
 ], ids=["kronecker-n4-k3", "reindex-n4-k3", "multiplicity-n5-k2", "kronecker-n5-k3",
         "row-n5-k3", "finite-n4-k3", "quasi-n4-k3", "finite-311-k3", "kronecker-n6-k3",
-        "kronecker-n5-k4"])
+        "kronecker-n5-k4", "kronecker-321-k4", "kronecker-n7-k3", "multiplicity-n6-k3"])
 def test_comaj_formula_stream_digest(capsys, argv, digest):
     # streams built on the comaj formula, as first recorded
     rc = cli.main(argv)

@@ -7,7 +7,7 @@ import pytest
 
 from comaj import engine, identities, perm
 from comaj.identities import VerificationReport, _compare, _first_difference
-from comaj.qpoly import QPoly, Truncation, pochhammer
+from comaj.qpoly import QPoly, Truncation, collapse, pochhammer
 from comaj.tableaux import hook_length_count, partitions, standard_tableaux
 
 
@@ -81,10 +81,12 @@ def test_fundamental_values_are_memoised(monkeypatch):
 
     monkeypatch.setattr(engine, "comaj_components", counted)
     identities._fundamental_comaj.cache_clear()
+    identities._step_table.cache_clear()
     for lam in partitions(4):
         identities.graded_multiplicity_comaj(lam, 2)
     # the engine reads only the k = 1 base: one closing step per descent set
-    # of {1, 2, 3}, not one tally per tableau or per first step
+    # of {1, 2, 3}, not one tally per tableau or per first step, and the
+    # chamber mode that graded_multiplicity_comaj uses shares that base
     assert sorted(map(sorted, calls)) == sorted(map(sorted, all_subsets(4)))
     # R given as a list, a set or a frozenset is one cache key
     values = [identities.fundamental_comaj_polynomial(R, 4, 2)
@@ -96,6 +98,45 @@ def test_fundamental_values_are_memoised(monkeypatch):
     for lam in partitions(4):
         identities.graded_multiplicity_comaj(lam, 3)
     assert calls == []
+    # one step table per class, shared by k = 2 and 3 and by both modes
+    assert identities._step_table.cache_info().misses == 8
+
+
+def _weakly_decreasing(e):
+    return all(a >= b for a, b in zip(e, e[1:]))
+
+
+def test_chamber_is_the_full_recursion_on_decreasing_vectors():
+    for n in range(1, 6):
+        for k in (1, 2, 3):
+            for R in all_subsets(n):
+                full = identities.fundamental_comaj_polynomial(R, n, k)
+                chamber = identities.fundamental_comaj_polynomial(R, n, k, chamber=True)
+                assert chamber == QPoly(k, full.D, {
+                    e: c for e, c in full.terms.items() if _weakly_decreasing(e)
+                }), (sorted(R), n, k)
+
+
+def test_schur_side_is_its_chamber_expanded_over_permutations():
+    # the symmetry that the chamber and the orbit-weighted collapse rely on
+    cases = [(n, k) for n in range(1, 7) for k in (1, 2, 3)] + [(5, 4)]
+    for n, k in cases:
+        for lam in partitions(n):
+            chamber = identities.schur_comaj_polynomial(lam, k, chamber=True)
+            assert all(_weakly_decreasing(e) for e in chamber.terms)
+            expanded = {p: c for e, c in chamber.terms.items()
+                        for p in set(itertools.permutations(e))}
+            assert identities.schur_comaj_polynomial(lam, k) == QPoly(
+                k, chamber.D, expanded
+            ), (lam, k)
+
+
+def test_orbit_weighted_collapse_matches_the_full_collapse():
+    for n, k in [(4, 3), (5, 3), (6, 3), (5, 4)]:
+        for lam in partitions(n):
+            assert identities.graded_multiplicity_comaj(lam, k) == collapse(
+                identities.schur_comaj_polynomial(lam, k)
+            ), (lam, k)
 
 
 def _fundamental_by_vectors(R, n, k):
