@@ -13,6 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial, prod
+from operator import itemgetter
 
 from . import engine, perm
 from .characters import centralizer_size, character
@@ -30,6 +31,9 @@ from .tableaux import Partition, hook_length_count, partition, partitions, stand
 
 Side = tuple[str, QPoly]
 
+# One encoder for every report line: the bytes of json.dumps with these options.
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 @dataclass
 class VerificationReport:
@@ -44,7 +48,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json_line(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        return _encode_line(vars(self))
 
 
 def _first_difference(a: QPoly, b: QPoly) -> dict | None:
@@ -153,42 +157,59 @@ def _fundamental_comaj(R: frozenset[int], n: int, k: int, chamber: bool) -> QPol
     """
     if k == 1:
         return _tally(n, k, [engine.comaj_components(R, n, ())])
-    rows: defaultdict[int, dict] = defaultdict(dict)
-    for (c, E), m in _step_table(R, n):
-        row = rows[c]
-        for e, t in _fundamental_comaj(E, n, k - 1, chamber and k > 2).terms.items():
-            if not chamber or e[0] <= c:
-                row[e] = row.get(e, 0) + m * t
+    rows: dict[int, dict] = {}
+    for c, steps in _step_table(R, n):
+        row = rows[c] = {}
+        for E, m in steps:
+            for e, t in _fundamental_comaj(E, n, k - 1, chamber and k > 2).terms.items():
+                if not chamber or e[0] <= c:
+                    row[e] = row.get(e, 0) + m * t
     # c <= n(n-1)/2, so every exponent vector is within the exact degree bound.
     return QPoly._trusted(k, exact_degree_bound(n, k),
                           {(c, *e): t for c, row in rows.items() for e, t in row.items()})
 
 
 @lru_cache(maxsize=_CLASSES)
-def _step_table(R: frozenset[int], n: int) -> tuple[tuple[tuple[int, frozenset[int]], int], ...]:
-    """How many first steps s of F_R have comaj c_R(s) and lead into the class Des(s^{-1})."""
-    words, classes = _words(n)
-    return tuple(Counter(zip(_step_row(engine.zero_comaj_perm(R, n), words), classes)).items())
+def _step_table(R: frozenset[int],
+                n: int) -> tuple[tuple[int, tuple[tuple[frozenset[int], int], ...]], ...]:
+    """(c, ((E, m), ...)): m first steps s of F_R have comaj c_R(s) = c and Des(s^{-1}) = E."""
+    tally = Counter(zip(_step_row(engine.zero_comaj_perm(R, n)), _words(n)[1]))
+    by_comaj: defaultdict[int, list] = defaultdict(list)
+    for (c, E), m in tally.items():
+        by_comaj[c].append((E, m))
+    return tuple((c, tuple(steps)) for c, steps in by_comaj.items())
 
 
 @lru_cache(maxsize=8)
-def _words(n: int) -> tuple[tuple[perm.Perm, ...], tuple[frozenset[int], ...]]:
-    """S_n, and Des(s^{-1}) of each word s: the descent class that a step with s leads into."""
+def _words(n: int) -> tuple[tuple[itemgetter, ...], tuple[frozenset[int], ...], dict]:
+    """S_n in lexicographic order, as the data a step row reads.
+
+    For each word s: an itemgetter that reads a list's ranks at the entries
+    of s, and Des(s^{-1}), the descent class that a step with s leads into.
+    Then the comaj of each word, keyed by what its getter returns from the
+    identity ranks: the word itself, or at n = 1 its one entry, since an
+    itemgetter of one index returns the item, not a 1-tuple.
+    """
     words = tuple(perm.symmetric_group(n))
-    return words, tuple(perm.descent_set(perm.inverse(s)) for s in words)
+    keys = words if n > 1 else [s[0] for s in words]
+    return (tuple(itemgetter(*s) for s in words),
+            tuple(perm.descent_set(perm.inverse(s)) for s in words),
+            {key: perm.comaj(s) for key, s in zip(keys, words)})
 
 
-def _step_row(prev: perm.Perm, words) -> tuple[int, ...]:
-    """Comaj of each word against a list read in the order prev.
+def _step_row(prev: perm.Perm) -> list[int]:
+    """Comaj of each word of S_n against a list read in the order prev.
 
     The sum of n - i over the positions i at which prev reads the word's
-    entries i and i + 1 in the opposite order.
+    entries i and i + 1 in the opposite order: the comaj of the word
+    relabelled by the ranks that prev gives its values.
     """
     n = len(prev)
+    getters, _, comajs = _words(n)
     rank = [0] * (n + 1)
-    for pos, v in enumerate(prev):
+    for pos, v in enumerate(prev, 1):
         rank[v] = pos
-    return tuple(sum(n - i for i in range(1, n) if rank[s[i - 1]] > rank[s[i]]) for s in words)
+    return [comajs[get(rank)] for get in getters]
 
 
 def schur_comaj_polynomial(lam: Partition, k: int, chamber: bool = False) -> QPoly:
@@ -373,7 +394,17 @@ def _within(cells: int, total: int):
             yield (first, *rest)
 
 
-@lru_cache(maxsize=None)
+# Cache bounds.  A prop41 sweep reads each (R, n, r, bound) in one contiguous
+# block of tasks, so it needs one bucket table at a time; the rest serve
+# callers that interleave a few boxes.  The side pairs are shared across
+# tables: one sweep over every R builds at most 184 distinct pairs for
+# n <= 5, r <= 3 and bound <= 4 (5 for n = 5, r = 1, bound 3), so every pair
+# of such a sweep stays cached.
+_BOXES = 8
+_PAIRS = 512
+
+
+@lru_cache(maxsize=_BOXES)
 def _box_buckets(R: tuple[int, ...], n: int, r: int,
                  bound: int) -> dict[tuple, tuple[QPoly, QPoly]]:
     """Both compared sides of the injection recursion, keyed by (sigma, D).
@@ -401,14 +432,26 @@ def _box_buckets(R: tuple[int, ...], n: int, r: int,
             Z = tuple((h, *s) for h, s in zip(head, S))
             sigma = engine.reading_order(Rf, Z)
             left[sigma, tail_descents[sigma]][engine.seq_weight(Z, r)] += 1
-    trunc = Truncation(r, bound)
-    poch = pochhammer(r, n, trunc)
     # A Z's key is the key of its tail list, so the right table has every key.
+    # q_r^c is zero below the bound once c > bound, so those c share a pair.
     return {
-        (sigma, D): (poch * QPoly(*trunc, left.get((sigma, D))),
-                     QPoly.variable(*trunc, r, sum(n - i for i in D)) * QPoly(*trunc, counts))
+        (sigma, D): _side_pair(n, r, bound, frozenset(left.get((sigma, D), {}).items()),
+                               min(sum(n - i for i in D), bound + 1), frozenset(counts.items()))
         for (sigma, D), counts in right.items()
     }
+
+
+@lru_cache(maxsize=_PAIRS)
+def _side_pair(n: int, r: int, bound: int, left: frozenset, c: int,
+               right: frozenset) -> tuple[QPoly, QPoly]:
+    """(q_r; q_r)_n times the left counts, and q_r^c times the right counts.
+
+    Each side is built from its own table only.  Empty tables give the
+    zero pair of a key that no list reaches.
+    """
+    trunc = Truncation(r, bound)
+    return (pochhammer(r, n, trunc) * QPoly(*trunc, dict(left)),
+            QPoly.variable(*trunc, r, c) * QPoly(*trunc, dict(right)))
 
 
 def verify_injection_recursion(R, n: int, target, sigma,
@@ -434,10 +477,8 @@ def verify_injection_recursion(R, n: int, target, sigma,
         raise ValueError(f"permutation size {len(sigma)} != {n}")
     if any(not 1 <= i <= n - 1 for i in target):
         raise ValueError(f"target must be a subset of 1..{n - 1}: {sorted(target)!r}")
-    zero = QPoly.zero(r, bound)
-    left, right = _box_buckets(tuple(sorted(Rf)), n, r, bound).get(
-        (sigma, target), (zero, zero)
-    )
+    left, right = (_box_buckets(tuple(sorted(Rf)), n, r, bound).get((sigma, target))
+                   or _side_pair(n, r, bound, frozenset(), 0, frozenset()))
     params = {
         "R": sorted(Rf),
         "n": n,

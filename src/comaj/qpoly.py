@@ -43,9 +43,12 @@ class Truncation(NamedTuple):
 
 
 class QPoly:
-    """Immutable truncated polynomial; ``terms`` is a read-only view, so cached values stay intact."""
+    """Immutable truncated polynomial; ``terms`` is a read-only view, so cached values stay intact.
 
-    __slots__ = ("k", "D", "_terms")
+    The value never changes, so ``digest()`` is computed on its first call and kept.
+    """
+
+    __slots__ = ("k", "D", "_terms", "_digest")
 
     def __init__(self, k: int, D: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if k < 1 or D < 0:
@@ -62,6 +65,7 @@ class QPoly:
             if sum(e) <= D:
                 clean[e] = c
         self._terms = clean
+        self._digest = None
 
     @classmethod
     def _trusted(cls, k: int, D: int, terms: Mapping[tuple[int, ...], int]) -> QPoly:
@@ -74,6 +78,7 @@ class QPoly:
         p.k = k
         p.D = D
         p._terms = {e: c for e, c in terms.items() if c}
+        p._digest = None
         return p
 
     @property
@@ -234,7 +239,10 @@ class QPoly:
         return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        """sha256 of ``to_json()``, memoised on the first call."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return self._digest
 
     def __repr__(self) -> str:
         if self.is_zero():

@@ -247,6 +247,18 @@ def test_verify_prop41_stream_digest(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_prop41_shared_pairs_stream_digest(capsys, jobs):
+    # recorded before keys with equal sides shared one pair; workers build
+    # their own pairs, so every --jobs value writes these bytes
+    rc = cli.main(["verify", "prop41", "--n", "4", "--r", "1", "--bound", "3", "--jobs", jobs])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "fdcf993d363a873a548d7b29822c86ff2b62526986aced10a28662d04fcb182c"
+    )
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "kronecker", "--max-n", "4", "--max-k", "3", "--jobs", "1"],
      "a461669e9f36dfee469560b2549f36670458dfd62cac4b1bf8516a9da4e52cb4"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -162,10 +163,22 @@ def test_step_row_is_the_second_chain_component():
     for n in range(1, 5):
         words = list(perm.symmetric_group(n))
         for prev in words:
-            row = identities._step_row(prev, words)
+            row = identities._step_row(prev)
             for R in all_subsets(n):
                 for value, sigma in zip(row, words):
                     assert value == engine.comaj_components(R, n, (prev, sigma))[1]
+
+
+def test_step_row_matches_the_per_word_comaj():
+    # the relabelled-word lookup against the sum over each word's positions
+    for n in range(1, 8):
+        words = list(perm.symmetric_group(n))
+        for R in all_subsets(n):
+            prev = engine.zero_comaj_perm(R, n)
+            rank = {v: pos for pos, v in enumerate(prev)}
+            assert identities._step_row(prev) == [
+                sum(n - i for i in range(1, n) if rank[s[i - 1]] > rank[s[i]]) for s in words
+            ], (n, sorted(R))
 
 
 def test_step_tally_depends_only_on_the_inverse_descent_class():
@@ -176,12 +189,12 @@ def test_step_tally_depends_only_on_the_inverse_descent_class():
         classes = [perm.descent_set(perm.inverse(s)) for s in words]
         tallies = {}
         for p, D in zip(words, classes):
-            tally = Counter(zip(identities._step_row(p, words), classes))
+            tally = Counter(zip(identities._step_row(p), classes))
             assert tallies.setdefault(D, tally) == tally, (n, p)
         assert set(tallies) == set(all_subsets(n))
         # step 1 of F_R is a step after a list read in the order zero_comaj_perm(R)
         for R in all_subsets(n):
-            row = identities._step_row(engine.zero_comaj_perm(R, n), words)
+            row = identities._step_row(engine.zero_comaj_perm(R, n))
             for value, s in zip(row, words):
                 assert value == engine.comaj_components(R, n, (s,))[0], (n, sorted(R), s)
 
@@ -446,14 +459,26 @@ def test_box_buckets_match_two_loop_enumeration():
     # keys reached only by lists above the degree bound; both sides of those
     # truncate to zero, which is what verify_injection_recursion looks up.
     cases = [(n, r, bound) for n in (2, 3) for r in (1, 2, 3) for bound in (1, 2, 3)]
-    for n, r, bound in cases + [(4, 1, 3)]:
+    identities._side_pair.cache_clear()
+    for n, r, bound in cases + [(4, 1, 3), (5, 1, 3)]:
         zero = QPoly.zero(r, bound)
+        pairs = {}
         for R in all_subsets(n):
             expected = _two_loop_sides(R, n, r, bound)
             got = identities._box_buckets(tuple(sorted(R)), n, r, bound)
             for key in expected.keys() | got.keys():
                 assert got.get(key, (zero, zero)) == expected.get(key, (zero, zero)), (
                     R, n, r, bound, key)
+            pairs.update((id(pair), pair) for pair in got.values())
+        for pair in pairs.values():
+            for side in pair:
+                assert side.digest() == hashlib.sha256(side.to_json().encode()).hexdigest()
+    # keys whose count tables and c(D) agree share one pair, across every R:
+    # the 16 R of the benchmark's report-heavy shape hold 1920 keys
+    keys = [pair for R in all_subsets(5)
+            for pair in identities._box_buckets(tuple(sorted(R)), 5, 1, 3).values()]
+    assert len(keys) == 1920
+    assert len({id(pair) for pair in keys}) <= 5
 
 
 def test_variable_reindex_driver():
@@ -514,3 +539,7 @@ def test_report_serialization_is_canonical():
         "params": {"n": 2},
         "status": "pass",
     }
+    # the shared encoder writes the bytes of json.dumps with the same options
+    assert line == '{"counterexample":null,"digests":{"a":"x"},"identity":"demo",' \
+        '"params":{"n":2},"status":"pass"}'
+    assert line == json.dumps(vars(report), sort_keys=True, separators=(",", ":"))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from math import factorial
@@ -354,6 +355,29 @@ def test_serialization_schema_and_stability():
     assert rebuilt.digest() == p.digest()
     parsed = json.loads(p.to_json())
     assert parsed["terms"][0]["c"] == str(10**20)
+
+
+def test_digest_is_memoised_sha256_of_json(monkeypatch):
+    def sha(p):
+        return hashlib.sha256(p.to_json().encode("utf-8")).hexdigest()
+
+    fresh = QPoly(2, 4, {(0, 1): -2, (1, 0): 3})
+    trusted = QPoly._trusted(2, 4, {(0, 1): -2, (1, 0): 3})
+    for p in (fresh, trusted, QPoly.zero(1, 3)):
+        assert p._digest is None
+        assert p.digest() == sha(p)
+        assert p._digest == sha(p) and p.digest() == sha(p)
+    # a ring operation builds a new value, with no memo of its own
+    for result in (fresh + trusted, fresh * trusted, -fresh, fresh * 2, fresh - trusted):
+        assert result._digest is None
+        assert result.digest() == sha(result)
+    # only the first call serializes
+    calls = []
+    to_json = QPoly.to_json
+    monkeypatch.setattr(QPoly, "to_json", lambda self: calls.append(self) or to_json(self))
+    p = QPoly(1, 2, {(1,): 5})
+    assert p.digest() == p.digest() == p.digest()
+    assert calls == [p]
 
 
 def test_graded_lex_term_order():
