@@ -1,0 +1,157 @@
+"""Fundamental comaj values F_R(q_1..q_k) of the comaj route, packed into ints.
+
+``packed_value`` computes F_R by one recursion over the descent classes
+of S_n and keeps each value as a nonnegative int with one fixed-width slot
+per exponent vector, so the recursion folds by adding ints; ``unpack``
+turns such an int back into a ``QPoly``.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter, defaultdict
+from functools import lru_cache
+from math import factorial
+from operator import add, itemgetter, mul
+
+from . import engine, perm
+from .qpoly import QPoly
+
+
+def _radix(n: int) -> int:
+    """B = n(n-1)/2 + 1, one more than the largest comaj in S_n."""
+    return n * (n - 1) // 2 + 1
+
+
+def slot_width(n: int, k: int) -> int:
+    """Bytes per packed count: enough for (n!)^k, which bounds every count of a Schur side."""
+    return ((factorial(n) ** k).bit_length() + 7) // 8
+
+
+def unpack(value: int, n: int, k: int, width: int, chamber: bool) -> QPoly:
+    """The QPoly of a packed comaj value, read through one ``int.to_bytes``.
+
+    The count at exponent vector e is the little-endian ``width``-byte slot
+    number sum e_i B^(k-i), B = n(n-1)/2 + 1, so the slots in order are the
+    vectors of range(B)^k in lexicographic order.  ``chamber`` reads only
+    the weakly decreasing vectors.
+    """
+    base = _radix(n)
+    data = value.to_bytes(base**k * width, "little")
+    if chamber:
+        vectors = list(itertools.combinations_with_replacement(range(base - 1, -1, -1), k))
+        places = [width * base**i for i in range(k - 1, -1, -1)]
+        starts = [sum(map(mul, e, places)) for e in vectors]
+    else:
+        vectors = itertools.product(range(base), repeat=k)
+        starts = range(0, len(data), width)
+    from_bytes = int.from_bytes
+    terms = {e: c for e, j in zip(vectors, starts)
+             if (c := from_bytes(data[j:j + width], "little"))}
+    # every e_i <= n(n-1)/2 = B - 1, so every vector is within the degree bound
+    return QPoly._trusted(k, k * (base - 1), terms)
+
+
+# Cache bounds: 2^(n-1) descent classes for each n <= 8.  A value at j
+# variables is packed at the slot width of the caller's k >= j; for k <= 4
+# that is four (j, k) pairs at j = 1 and six at j >= 2, the latter in both
+# modes, so 16 values per class.
+_CLASSES = 2**8 - 1
+
+
+@lru_cache(maxsize=16 * _CLASSES)
+def packed_value(R: frozenset[int], n: int, k: int, chamber: bool, width: int) -> int:
+    """The comaj tally over permutation vectors, as one recursion over descent classes.
+
+    F_R(q_1..q_k) = sum over s in S_n of q_1^{c_R(s)} F_{Des(s^{-1})}(q_2..q_k).
+
+    Reading-order lemma: after a label step with s, the reading order of
+    the new list is s itself, and a position is a generalized descent
+    exactly when the list reads its two values in the opposite order.  So
+    the steps after the first see only s, not R or the list, and step 1
+    reads the empty list in the order z_R = ``engine.zero_comaj_perm(R)``.
+    A step s after a list read in the order p has comaj(p^{-1} s), and the
+    number of s with Des(p^{-1} s) = F and Des(s^{-1}) = E is the
+    coefficient of p^{-1} in B_F B_E, B_F the sum of the permutations with
+    descent set F.  That depends on p only through Des(p^{-1}), since the
+    descent algebra is closed under product (L. Solomon, J. Algebra 41,
+    1976).  z_E is an involution with descent set E, so the steps after s
+    tally as the steps of F_E at k - 1 variables.  The term at (c, e_2..e_k)
+    reads F_E only at (e_2..e_k), so the chamber of F_R folds the chamber of
+    F_E, keeping a term only when e_2 <= c.
+
+    The value is packed as ``unpack`` reads it.  Its slots for e_1 = c
+    hold sum m F_E, the F_E at k - 1 variables sharing the width, so the
+    fold adds ints; the chamber keeps e_2 <= c, the slots below
+    (c + 1) B^(k-2).  No count exceeds (n!)^(k-1), so no slot overflows.
+    """
+    if k == 1:
+        return 1 << 8 * width * _closing_comaj(R, n)
+    base = _radix(n)
+    block = 8 * width * base ** (k - 2)
+    value = 0
+    for c, steps in _step_table(R, n):
+        low = (1 << block * (c + 1)) - 1
+        row = 0
+        for E, m in steps:
+            tail = packed_value(E, n, k - 1, chamber and k > 2, width)
+            row += m * (tail & low if chamber else tail)
+        value += row << block * base * c
+    return value
+
+
+@lru_cache(maxsize=_CLASSES)
+def _closing_comaj(R: frozenset[int], n: int) -> int:
+    """The k = 1 base: the comaj of the closing step, read once per class from the engine."""
+    (c,) = engine.comaj_components(R, n, ())
+    return c
+
+
+@lru_cache(maxsize=_CLASSES)
+def _step_table(R: frozenset[int],
+                n: int) -> tuple[tuple[int, tuple[tuple[frozenset[int], int], ...]], ...]:
+    """(c, ((E, m), ...)): m first steps s of F_R have comaj c_R(s) = c and Des(s^{-1}) = E."""
+    _, offsets, classes, _ = _words(n)
+    tally = Counter(map(add, _step_row(engine.zero_comaj_perm(R, n)), offsets))
+    by_comaj: defaultdict[int, list] = defaultdict(list)
+    for key, m in tally.items():
+        i, c = divmod(key, _radix(n))
+        by_comaj[c].append((classes[i], m))
+    return tuple((c, tuple(steps)) for c, steps in by_comaj.items())
+
+
+@lru_cache(maxsize=8)
+def _words(n: int) -> tuple[tuple[itemgetter, ...], tuple[int, ...],
+                            tuple[frozenset[int], ...], dict]:
+    """S_n in lexicographic order, as the data a step row reads.
+
+    For each word s: an itemgetter that reads a list's ranks at the entries
+    of s, and B = ``_radix(n)`` times the index of Des(s^{-1}), the descent
+    class that a step with s leads into, in the tuple of classes that
+    follows, so that adding a comaj c < B makes one int key for (c, class).
+    Then the comaj of each word, keyed by what its getter returns from the
+    identity ranks: the word itself, or at n = 1 its one entry, since an
+    itemgetter of one index returns the item, not a 1-tuple.
+    """
+    words = tuple(perm.symmetric_group(n))
+    keys = words if n > 1 else [s[0] for s in words]
+    numbers: dict[frozenset[int], int] = {}
+    offsets = tuple(_radix(n) * numbers.setdefault(perm.descent_set(perm.inverse(s)), len(numbers))
+                    for s in words)
+    return (tuple(itemgetter(*s) for s in words), offsets, tuple(numbers),
+            {key: perm.comaj(s) for key, s in zip(keys, words)})
+
+
+def _step_row(prev: perm.Perm) -> list[int]:
+    """Comaj of each word of S_n against a list read in the order prev.
+
+    The sum of n - i over the positions i at which prev reads the word's
+    entries i and i + 1 in the opposite order: the comaj of the word
+    relabelled by the ranks that prev gives its values.
+    """
+    n = len(prev)
+    getters, _, _, comajs = _words(n)
+    rank = [0] * (n + 1)
+    for pos, v in enumerate(prev, 1):
+        rank[v] = pos
+    return [comajs[get(rank)] for get in getters]

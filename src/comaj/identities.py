@@ -13,9 +13,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial, prod
-from operator import itemgetter
+from operator import eq
 
-from . import engine, perm
+from . import engine, fundamental, perm
 from .characters import centralizer_size, character
 from .enumeration import fundamental_principal_series, schur_principal_by_tableaux
 from .qpoly import (
@@ -118,114 +118,42 @@ def _tally(n: int, k: int, exponents) -> QPoly:
 
 
 def fundamental_comaj_polynomial(R, n: int, k: int, chamber: bool = False) -> QPoly:
-    """Sum over permutation vectors of the comaj-component weight, memoised per (R, n, k).
+    """Sum over permutation vectors of the comaj-component weight.
 
     ``chamber`` keeps only the terms at weakly decreasing exponent vectors.
+    The packed value is memoised per (R, n, k, mode); each call unpacks it.
     """
+    _check_size(n, k)
+    width = fundamental.slot_width(n, k)
+    chamber = chamber and k > 1
+    return fundamental.unpack(fundamental.packed_value(frozenset(R), n, k, chamber, width),
+                              n, k, width, chamber)
+
+
+def _check_size(n: int, k: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return _fundamental_comaj(frozenset(R), n, k, chamber and k > 1)
-
-
-# Cache bounds: 2^(n-1) descent classes for each n <= 8, and their values at
-# k = 1 and in both modes at k = 2..4.
-_CLASSES = 2**8 - 1
-
-
-@lru_cache(maxsize=7 * _CLASSES)
-def _fundamental_comaj(R: frozenset[int], n: int, k: int, chamber: bool) -> QPoly:
-    """The comaj tally over permutation vectors, as one recursion over descent classes.
-
-    F_R(q_1..q_k) = sum over s in S_n of q_1^{c_R(s)} F_{Des(s^{-1})}(q_2..q_k).
-
-    Reading-order lemma: after a label step with s, the reading order of
-    the new list is s itself, and a position is a generalized descent
-    exactly when the list reads its two values in the opposite order.  So
-    the steps after the first see only s, not R or the list, and step 1
-    reads the empty list in the order z_R = ``engine.zero_comaj_perm(R)``.
-    A step s after a list read in the order p has comaj(p^{-1} s), and the
-    number of s with Des(p^{-1} s) = F and Des(s^{-1}) = E is the
-    coefficient of p^{-1} in B_F B_E, B_F the sum of the permutations with
-    descent set F.  That depends on p only through Des(p^{-1}), since the
-    descent algebra is closed under product (L. Solomon, J. Algebra 41,
-    1976).  z_E is an involution with descent set E, so the steps after s
-    tally as the steps of F_E at k - 1 variables.  The term at (c, e_2..e_k)
-    reads F_E only at (e_2..e_k), so the chamber of F_R folds the chamber of
-    F_E, keeping a term only when e_2 <= c.
-    """
-    if k == 1:
-        return _tally(n, k, [engine.comaj_components(R, n, ())])
-    rows: dict[int, dict] = {}
-    for c, steps in _step_table(R, n):
-        row = rows[c] = {}
-        for E, m in steps:
-            for e, t in _fundamental_comaj(E, n, k - 1, chamber and k > 2).terms.items():
-                if not chamber or e[0] <= c:
-                    row[e] = row.get(e, 0) + m * t
-    # c <= n(n-1)/2, so every exponent vector is within the exact degree bound.
-    return QPoly._trusted(k, exact_degree_bound(n, k),
-                          {(c, *e): t for c, row in rows.items() for e, t in row.items()})
-
-
-@lru_cache(maxsize=_CLASSES)
-def _step_table(R: frozenset[int],
-                n: int) -> tuple[tuple[int, tuple[tuple[frozenset[int], int], ...]], ...]:
-    """(c, ((E, m), ...)): m first steps s of F_R have comaj c_R(s) = c and Des(s^{-1}) = E."""
-    tally = Counter(zip(_step_row(engine.zero_comaj_perm(R, n)), _words(n)[1]))
-    by_comaj: defaultdict[int, list] = defaultdict(list)
-    for (c, E), m in tally.items():
-        by_comaj[c].append((E, m))
-    return tuple((c, tuple(steps)) for c, steps in by_comaj.items())
-
-
-@lru_cache(maxsize=8)
-def _words(n: int) -> tuple[tuple[itemgetter, ...], tuple[frozenset[int], ...], dict]:
-    """S_n in lexicographic order, as the data a step row reads.
-
-    For each word s: an itemgetter that reads a list's ranks at the entries
-    of s, and Des(s^{-1}), the descent class that a step with s leads into.
-    Then the comaj of each word, keyed by what its getter returns from the
-    identity ranks: the word itself, or at n = 1 its one entry, since an
-    itemgetter of one index returns the item, not a 1-tuple.
-    """
-    words = tuple(perm.symmetric_group(n))
-    keys = words if n > 1 else [s[0] for s in words]
-    return (tuple(itemgetter(*s) for s in words),
-            tuple(perm.descent_set(perm.inverse(s)) for s in words),
-            {key: perm.comaj(s) for key, s in zip(keys, words)})
-
-
-def _step_row(prev: perm.Perm) -> list[int]:
-    """Comaj of each word of S_n against a list read in the order prev.
-
-    The sum of n - i over the positions i at which prev reads the word's
-    entries i and i + 1 in the opposite order: the comaj of the word
-    relabelled by the ranks that prev gives its values.
-    """
-    n = len(prev)
-    getters, _, comajs = _words(n)
-    rank = [0] * (n + 1)
-    for pos, v in enumerate(prev, 1):
-        rank[v] = pos
-    return [comajs[get(rank)] for get in getters]
 
 
 def schur_comaj_polynomial(lam: Partition, k: int, chamber: bool = False) -> QPoly:
     """Sum of the fundamental values at the descent sets of the standard tableaux.
 
     Each distinct descent set is summed once, weighted by the number of
-    tableaux that have it.  The sum is symmetric in q_1..q_k, so its
-    ``chamber`` terms, at weakly decreasing exponent vectors, determine it.
+    tableaux that have it, as packed values, and the sum is unpacked once;
+    the slot width holds its every count.  The sum is symmetric in q_1..q_k,
+    so its ``chamber`` terms, at weakly decreasing exponent vectors,
+    determine it.
     """
     lam = partition(lam)
     n = sum(lam)
-    acc: Counter = Counter()
-    for R, m in Counter(T.descent_set() for T in standard_tableaux(lam)).items():
-        for e, c in fundamental_comaj_polynomial(R, n, k, chamber).terms.items():
-            acc[e] += m * c
-    return QPoly._trusted(k, exact_degree_bound(n, k), acc)
+    _check_size(n, k)
+    width = fundamental.slot_width(n, k)
+    chamber = chamber and k > 1
+    total = sum(m * fundamental.packed_value(R, n, k, chamber, width) for R, m in
+                Counter(T.descent_set() for T in standard_tableaux(lam)).items())
+    return fundamental.unpack(total, n, k, width, chamber)
 
 
 def labeled_tableau_polynomial(lam: Partition, k: int) -> QPoly:
@@ -254,13 +182,19 @@ def graded_multiplicity_comaj(lam: Partition, k: int) -> QPoly:
     """Single-variable graded multiplicity via total comaj weights.
 
     The collapse of the symmetric Schur side, read off its chamber: each term
-    counts once per distinct permutation of its exponents.
+    counts once per distinct permutation of its exponents.  That count
+    depends only on which neighbours of the weakly decreasing vector are
+    equal, so it is computed once per such pattern.
     """
     side = schur_comaj_polynomial(lam, k, chamber=True)
+    orbits: dict[tuple[bool, ...], int] = {}
     acc: Counter = Counter()
     for e, c in side.terms.items():
-        acc[(sum(e),)] += c * (factorial(k) // prod(map(factorial, Counter(e).values())))
-    return QPoly._trusted(1, side.D, acc)
+        pattern = tuple(map(eq, e, e[1:]))
+        if pattern not in orbits:
+            orbits[pattern] = factorial(k) // prod(map(factorial, Counter(e).values()))
+        acc[sum(e)] += c * orbits[pattern]
+    return QPoly._trusted(1, side.D, {(d,): c for d, c in acc.items()})
 
 
 def graded_multiplicity_character(lam: Partition, k: int) -> QPoly:
@@ -274,15 +208,26 @@ def graded_multiplicity_character(lam: Partition, k: int) -> QPoly:
     lam = partition(lam)
     n = sum(lam)
     order = factorial(n)
+    acc = QPoly.zero(1, exact_degree_bound(n, k))
+    for mu, series in _class_series(n, k):
+        acc = acc + series * (character(lam, mu) * (order // centralizer_size(mu)))
+    return exact_div(acc, order)
+
+
+# Cache bound: one table per (n, k) for n <= 8 and k <= 4, the sizes the
+# suites reach; each holds p(n) <= 22 one-variable series.
+@lru_cache(maxsize=32)
+def _class_series(n: int, k: int) -> tuple[tuple[Partition, QPoly], ...]:
+    """(mu, [(q;q)_n * prod 1/(1-q^{mu_i})]^k) for each cycle type mu of S_n."""
     trunc = Truncation(1, exact_degree_bound(n, k))
     poch_n = pochhammer(1, n, trunc)
-    acc = QPoly.zero(*trunc)
+    table = []
     for mu in partitions(n):
         series = poch_n
         for part in mu:
             series = series * QPoly(*trunc, {(d * part,): 1 for d in range(trunc.D // part + 1)})
-        acc = acc + series**k * (character(lam, mu) * (order // centralizer_size(mu)))
-    return exact_div(acc, order)
+        table.append((mu, series**k))
+    return tuple(table)
 
 
 def verify_finite_evaluation(lam: Partition, k: int,

@@ -6,9 +6,10 @@ from math import comb, factorial
 
 import pytest
 
-from comaj import engine, identities, perm
+from comaj import engine, fundamental, identities, perm
 from comaj.identities import VerificationReport, _compare, _first_difference
-from comaj.qpoly import QPoly, Truncation, collapse, pochhammer
+from comaj.characters import centralizer_size, character
+from comaj.qpoly import QPoly, Truncation, collapse, exact_div, pochhammer
 from comaj.tableaux import hook_length_count, partitions, standard_tableaux
 
 
@@ -81,8 +82,9 @@ def test_fundamental_values_are_memoised(monkeypatch):
         return tally(R, n, sigmas)
 
     monkeypatch.setattr(engine, "comaj_components", counted)
-    identities._fundamental_comaj.cache_clear()
-    identities._step_table.cache_clear()
+    for cache in (fundamental.packed_value, fundamental._closing_comaj,
+                  fundamental._step_table):
+        cache.cache_clear()
     for lam in partitions(4):
         identities.graded_multiplicity_comaj(lam, 2)
     # the engine reads only the k = 1 base: one closing step per descent set
@@ -100,7 +102,16 @@ def test_fundamental_values_are_memoised(monkeypatch):
         identities.graded_multiplicity_comaj(lam, 3)
     assert calls == []
     # one step table per class, shared by k = 2 and 3 and by both modes
-    assert identities._step_table.cache_info().misses == 8
+    assert fundamental._step_table.cache_info().misses == 8
+    # at n = 5 the values pack at 1, 2 and 3 bytes for k = 1, 2 and 3, each
+    # width its own cache key, and still the engine runs once per class
+    assert [fundamental.slot_width(5, k) for k in (1, 2, 3)] == [1, 2, 3]
+    for k in (1, 2, 3):
+        for lam in partitions(5):
+            identities.graded_multiplicity_comaj(lam, k)
+        for R in all_subsets(5):
+            identities.fundamental_comaj_polynomial(R, 5, k)
+    assert sorted(map(sorted, calls)) == sorted(map(sorted, all_subsets(5)))
 
 
 def _weakly_decreasing(e):
@@ -140,6 +151,45 @@ def test_orbit_weighted_collapse_matches_the_full_collapse():
             ), (lam, k)
 
 
+def _pack(counts, n, k, width):
+    # The layout unpack reads: the count at e in slot sum e_i B^(k-i), width bytes each.
+    base = n * (n - 1) // 2 + 1
+    return sum(c << 8 * width * sum(x * base ** (k - 1 - i) for i, x in enumerate(e))
+               for e, c in counts.items())
+
+
+def test_unpack_edge_cases():
+    # n = 1 has the one exponent vector (0, ..., 0)
+    for k in (1, 2, 3):
+        for chamber in (False, True):
+            assert fundamental.unpack(5, 1, k, 1, chamber) == QPoly(k, 0, {(0,) * k: 5})
+            assert fundamental.unpack(0, 1, k, 1, chamber) == QPoly.zero(k, 0)
+    assert fundamental.unpack(1 << 8 * 3, 4, 1, 1, False) == QPoly(1, 6, {(3,): 1})
+    # a full slot beside nonzero slots: no carry, no sign, no bleed into its neighbours
+    for width in (1, 2, 3):
+        top = 2 ** (8 * width) - 1
+        counts = {(2, 1, 0): 1, (2, 1, 1): top, (2, 1, 2): 7, (2, 2, 0): top, (3, 0, 0): 2}
+        got = fundamental.unpack(_pack(counts, 3, 3, width), 3, 3, width, False)
+        assert got == QPoly(3, 9, counts), width
+    with pytest.raises(OverflowError):
+        fundamental.unpack(1 << 8 * 4, 2, 2, 1, False)
+
+
+def test_chamber_unpack_is_the_full_unpack_on_decreasing_vectors():
+    for n in range(1, 6):
+        for k in (1, 2, 3):
+            base = n * (n - 1) // 2 + 1
+            width = fundamental.slot_width(n, k)
+            # every slot nonzero, and every count distinct
+            counts = {e: 1 + i for i, e in enumerate(itertools.product(range(base), repeat=k))}
+            value = _pack(counts, n, k, width)
+            full = fundamental.unpack(value, n, k, width, False)
+            assert full == QPoly(k, identities.exact_degree_bound(n, k), counts)
+            assert fundamental.unpack(value, n, k, width, True) == QPoly(k, full.D, {
+                e: c for e, c in full.terms.items() if _weakly_decreasing(e)
+            }), (n, k)
+
+
 def _fundamental_by_vectors(R, n, k):
     # The per-vector tally: every permutation vector walked through the engine.
     counts = Counter(
@@ -163,7 +213,7 @@ def test_step_row_is_the_second_chain_component():
     for n in range(1, 5):
         words = list(perm.symmetric_group(n))
         for prev in words:
-            row = identities._step_row(prev)
+            row = fundamental._step_row(prev)
             for R in all_subsets(n):
                 for value, sigma in zip(row, words):
                     assert value == engine.comaj_components(R, n, (prev, sigma))[1]
@@ -176,7 +226,7 @@ def test_step_row_matches_the_per_word_comaj():
         for R in all_subsets(n):
             prev = engine.zero_comaj_perm(R, n)
             rank = {v: pos for pos, v in enumerate(prev)}
-            assert identities._step_row(prev) == [
+            assert fundamental._step_row(prev) == [
                 sum(n - i for i in range(1, n) if rank[s[i - 1]] > rank[s[i]]) for s in words
             ], (n, sorted(R))
 
@@ -189,12 +239,12 @@ def test_step_tally_depends_only_on_the_inverse_descent_class():
         classes = [perm.descent_set(perm.inverse(s)) for s in words]
         tallies = {}
         for p, D in zip(words, classes):
-            tally = Counter(zip(identities._step_row(p), classes))
+            tally = Counter(zip(fundamental._step_row(p), classes))
             assert tallies.setdefault(D, tally) == tally, (n, p)
         assert set(tallies) == set(all_subsets(n))
         # step 1 of F_R is a step after a list read in the order zero_comaj_perm(R)
         for R in all_subsets(n):
-            row = identities._step_row(engine.zero_comaj_perm(R, n))
+            row = fundamental._step_row(engine.zero_comaj_perm(R, n))
             for value, s in zip(row, words):
                 assert value == engine.comaj_components(R, n, (s,))[0], (n, sorted(R), s)
 
@@ -286,6 +336,29 @@ def test_dimension_sums():
                 for lam in partitions(n)
             )
             assert total == factorial(n) ** k
+
+
+def _character_by_shape(lam, k):
+    # The per-shape loop: every cycle-type series and its k-th power built for this lam.
+    n = sum(lam)
+    order = factorial(n)
+    trunc = Truncation(1, identities.exact_degree_bound(n, k))
+    acc = QPoly.zero(*trunc)
+    for mu in partitions(n):
+        series = pochhammer(1, n, trunc)
+        for part in mu:
+            series = series * QPoly(*trunc, {(d * part,): 1 for d in range(trunc.D // part + 1)})
+        acc = acc + series**k * (character(lam, mu) * (order // centralizer_size(mu)))
+    return exact_div(acc, order)
+
+
+def test_class_series_table_matches_the_per_shape_loop():
+    for n in range(1, 7):
+        for k in (1, 2, 3):
+            for lam in partitions(n):
+                assert identities.graded_multiplicity_character(lam, k) == (
+                    _character_by_shape(lam, k)
+                ), (lam, k)
 
 
 def test_character_oracle_rejects_a_non_integral_average(monkeypatch):
