@@ -12,13 +12,12 @@ import csv
 import functools
 import io
 import itertools
-import json
 import os
 import sys
 from math import factorial
 
 from . import engine, identities, perm
-from .qpoly import QPoly, Truncation, schur_principal_jt
+from .qpoly import QPoly, Truncation, canonical_json, schur_principal_jt
 from .tableaux import StandardTableau, hook_length_count, partition, partitions, standard_tableaux
 
 
@@ -127,7 +126,7 @@ def cmd_stat(args, out) -> int:
             "weight": list(weight),
             "total": sum(components),
         }
-        _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", out)
+        _emit(canonical_json(obj) + "\n", out)
         return 0
     lines = [
         f"shape: {','.join(str(p) for p in shape)}",
@@ -209,7 +208,7 @@ def cmd_multiplicity(args, out) -> int:
             "weighted_total_at_one": weighted_total,
             "expected_dimension": expected,
         }
-        _emit(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", out)
+        _emit(canonical_json(obj) + "\n", out)
         return 0
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -25,8 +25,8 @@ depth first and yields only those sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .perm import Perm, identity
 from .tableaux import StandardTableau
@@ -276,8 +276,7 @@ def seq_weight(S: SeqList, k: int) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class LabeledTableau:
+class LabeledTableau(NamedTuple):
     """A standard tableau with entry i replaced by the i-th chain sequence."""
 
     base: StandardTableau

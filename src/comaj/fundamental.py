@@ -1,9 +1,10 @@
 """Fundamental comaj values F_R(q_1..q_k) of the comaj route, packed into ints.
 
-``packed_value`` computes F_R by one recursion over the descent classes
-of S_n and keeps each value as a nonnegative int with one fixed-width slot
-per exponent vector, so the recursion folds by adding ints; ``unpack``
-turns such an int back into a ``QPoly``.
+``polynomial`` is the route's entry: it sums m F_R over a mapping {R: m}
+as one ``QPoly``.  ``packed_value`` computes F_R by one recursion over the
+descent classes of S_n and keeps each value as a nonnegative int with one
+fixed-width slot per exponent vector, so the recursion and the sum fold by
+adding ints; ``unpack`` turns such an int back into a ``QPoly``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,24 @@ from operator import add, itemgetter, mul
 
 from . import engine, perm
 from .qpoly import QPoly
+
+
+def polynomial(classes: dict[frozenset[int], int], n: int, k: int,
+               chamber: bool = False) -> QPoly:
+    """The sum of m F_R(q_1..q_k) over {R: m}: its packed values added, then unpacked once.
+
+    ``chamber`` keeps only the terms at weakly decreasing exponent vectors.
+    The m must be naturals summing to at most n!, as tableau counts do, so
+    every count fits the slot width of (n!)^k and no slot carries into the next.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    width = slot_width(n, k)
+    chamber = chamber and k > 1
+    total = sum(m * packed_value(R, n, k, chamber, width) for R, m in classes.items())
+    return unpack(total, n, k, width, chamber)
 
 
 def _radix(n: int) -> int:

@@ -8,9 +8,7 @@ differing monomial together with both coefficients.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import factorial, prod
 from operator import eq
@@ -21,6 +19,7 @@ from .enumeration import fundamental_principal_series, schur_principal_by_tablea
 from .qpoly import (
     QPoly,
     Truncation,
+    canonical_json,
     collapse,
     exact_div,
     pochhammer,
@@ -31,24 +30,24 @@ from .tableaux import Partition, hook_length_count, partition, partitions, stand
 
 Side = tuple[str, QPoly]
 
-# One encoder for every report line: the bytes of json.dumps with these options.
-_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-
-@dataclass
 class VerificationReport:
-    identity: str
-    params: dict
-    status: str  # "pass" | "fail"
-    digests: dict[str, str]
-    counterexample: dict | None = None
+    """One identity check; its report line is its attributes, ``vars(self)``, as canonical JSON."""
+
+    def __init__(self, identity: str, params: dict, status: str, digests: dict[str, str],
+                 counterexample: dict | None = None):
+        self.identity = identity
+        self.params = params
+        self.status = status  # "pass" | "fail"
+        self.digests = digests
+        self.counterexample = counterexample
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_json_line(self) -> str:
-        return _encode_line(vars(self))
+        return canonical_json(vars(self))
 
 
 def _first_difference(a: QPoly, b: QPoly) -> dict | None:
@@ -117,43 +116,24 @@ def _tally(n: int, k: int, exponents) -> QPoly:
     return QPoly(k, exact_degree_bound(n, k), Counter(exponents))
 
 
-def fundamental_comaj_polynomial(R, n: int, k: int, chamber: bool = False) -> QPoly:
+def fundamental_comaj_polynomial(R, n: int, k: int) -> QPoly:
     """Sum over permutation vectors of the comaj-component weight.
 
-    ``chamber`` keeps only the terms at weakly decreasing exponent vectors.
-    The packed value is memoised per (R, n, k, mode); each call unpacks it.
+    The packed value is memoised per (R, n, k); each call unpacks it.
     """
-    _check_size(n, k)
-    width = fundamental.slot_width(n, k)
-    chamber = chamber and k > 1
-    return fundamental.unpack(fundamental.packed_value(frozenset(R), n, k, chamber, width),
-                              n, k, width, chamber)
-
-
-def _check_size(n: int, k: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    return fundamental.polynomial({frozenset(R): 1}, n, k)
 
 
 def schur_comaj_polynomial(lam: Partition, k: int, chamber: bool = False) -> QPoly:
     """Sum of the fundamental values at the descent sets of the standard tableaux.
 
     Each distinct descent set is summed once, weighted by the number of
-    tableaux that have it, as packed values, and the sum is unpacked once;
-    the slot width holds its every count.  The sum is symmetric in q_1..q_k,
-    so its ``chamber`` terms, at weakly decreasing exponent vectors,
-    determine it.
+    tableaux that have it.  The sum is symmetric in q_1..q_k, so its
+    ``chamber`` terms, at weakly decreasing exponent vectors, determine it.
     """
     lam = partition(lam)
-    n = sum(lam)
-    _check_size(n, k)
-    width = fundamental.slot_width(n, k)
-    chamber = chamber and k > 1
-    total = sum(m * fundamental.packed_value(R, n, k, chamber, width) for R, m in
-                Counter(T.descent_set() for T in standard_tableaux(lam)).items())
-    return fundamental.unpack(total, n, k, width, chamber)
+    return fundamental.polynomial(Counter(T.descent_set() for T in standard_tableaux(lam)),
+                                  sum(lam), k, chamber)
 
 
 def labeled_tableau_polynomial(lam: Partition, k: int) -> QPoly:

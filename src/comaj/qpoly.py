@@ -34,6 +34,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
+# The one JSON encoder of comaj's output: polynomials, report lines and --format json.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class Truncation(NamedTuple):
     """Variable count and total-degree bound shared by compatible QPolys."""
@@ -236,7 +239,7 @@ class QPoly:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_obj())
 
     def digest(self) -> str:
         """sha256 of ``to_json()``, memoised on the first call."""

@@ -276,6 +276,9 @@ def test_verify_prop41_shared_pairs_stream_digest(capsys, jobs):
      "9df519509f394fc6f02783238b87c08adcf60bc3fcb30263cbea88ac830d64a0"),
     (["verify", "quasi", "--max-n", "4", "--max-k", "3", "--jobs", "1"],
      "99a6b726f08dd78591eda37458d0a9c6eee0530bc5614879a4b07ebfd8e1913c"),
+    # every F_R of n = 5 at k = 3 through the full recursion
+    (["verify", "quasi", "--n", "5", "--k", "3", "--jobs", "1"],
+     "78dd6a2d35677ea5b98e96f31c703ee34770dde5d869e1f13f0a28baf58926b2"),
     # n = 5 at k = 3: all four finite routes, the labeled side over 120^2 vectors per tableau
     (["verify", "finite", "--lambda", "3,1,1", "--k", "3", "--jobs", "1"],
      "c70323f33d113a77804980f962353fead7e189ac05c728ebc56a257d86eab9dc"),
@@ -293,8 +296,9 @@ def test_verify_prop41_shared_pairs_stream_digest(capsys, jobs):
     (["multiplicity", "--n", "6", "--k", "3"],
      "25f5f7681ebcc593e0d271c068112b08a6c4d2ae71c998b3344051915e3ec5d9"),
 ], ids=["kronecker-n4-k3", "reindex-n4-k3", "multiplicity-n5-k2", "kronecker-n5-k3",
-        "row-n5-k3", "finite-n4-k3", "quasi-n4-k3", "finite-311-k3", "kronecker-n6-k3",
-        "kronecker-n5-k4", "kronecker-321-k4", "kronecker-n7-k3", "multiplicity-n6-k3"])
+        "row-n5-k3", "finite-n4-k3", "quasi-n4-k3", "quasi-n5-k3", "finite-311-k3",
+        "kronecker-n6-k3", "kronecker-n5-k4", "kronecker-321-k4", "kronecker-n7-k3",
+        "multiplicity-n6-k3"])
 def test_comaj_formula_stream_digest(capsys, argv, digest):
     # streams built on the comaj formula, as first recorded
     rc = cli.main(argv)

@@ -138,6 +138,16 @@ def test_import_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_parser_does_not_load_dataclasses_or_inspect():
+    src = os.path.dirname(os.path.dirname(comaj.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, comaj.cli; comaj.cli.build_parser(); "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False False"
+
+
 def test_invalid_descent_positions():
     with pytest.raises(ValueError):
         fundamental_principal_series(frozenset({3}), 2, Truncation(1, 3))

@@ -9,7 +9,7 @@ import pytest
 from comaj import engine, fundamental, identities, perm
 from comaj.identities import VerificationReport, _compare, _first_difference
 from comaj.characters import centralizer_size, character
-from comaj.qpoly import QPoly, Truncation, collapse, exact_div, pochhammer
+from comaj.qpoly import QPoly, Truncation, canonical_json, collapse, exact_div, pochhammer
 from comaj.tableaux import hook_length_count, partitions, standard_tableaux
 
 
@@ -114,6 +114,15 @@ def test_fundamental_values_are_memoised(monkeypatch):
     assert sorted(map(sorted, calls)) == sorted(map(sorted, all_subsets(5)))
 
 
+def test_k1_base_is_the_single_comaj_term():
+    # at k = 1 no step follows the closing one: F_R(q) is q^{comaj of R}
+    for n in range(1, 9):
+        for R in all_subsets(n):
+            assert identities.fundamental_comaj_polynomial(R, n, 1) == QPoly(
+                1, identities.exact_degree_bound(n, 1), {(sum(n - i for i in R),): 1}
+            ), (sorted(R), n)
+
+
 def _weakly_decreasing(e):
     return all(a >= b for a, b in zip(e, e[1:]))
 
@@ -123,7 +132,7 @@ def test_chamber_is_the_full_recursion_on_decreasing_vectors():
         for k in (1, 2, 3):
             for R in all_subsets(n):
                 full = identities.fundamental_comaj_polynomial(R, n, k)
-                chamber = identities.fundamental_comaj_polynomial(R, n, k, chamber=True)
+                chamber = fundamental.polynomial({R: 1}, n, k, chamber=True)
                 assert chamber == QPoly(k, full.D, {
                     e: c for e, c in full.terms.items() if _weakly_decreasing(e)
                 }), (sorted(R), n, k)
@@ -616,3 +625,7 @@ def test_report_serialization_is_canonical():
     assert line == '{"counterexample":null,"digests":{"a":"x"},"identity":"demo",' \
         '"params":{"n":2},"status":"pass"}'
     assert line == json.dumps(vars(report), sort_keys=True, separators=(",", ":"))
+    # nested keys are sorted at every level, with the same bytes as json.dumps
+    nested = {"z": [1, {"b": None, "a": "x"}], "a": {"d": {"f": [], "e": "1"}, "c": True}}
+    for obj in (nested, QPoly(2, 3, {(1, 0): 2, (0, 2): -1}).to_obj()):
+        assert canonical_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
