@@ -3,8 +3,9 @@
 ``polynomial`` is the route's entry: it sums m F_R over a mapping {R: m}
 as one ``QPoly``.  ``packed_value`` computes F_R by one recursion over the
 descent classes of S_n and keeps each value as a nonnegative int with one
-fixed-width slot per exponent vector, so the recursion and the sum fold by
-adding ints; ``unpack`` turns such an int back into a ``QPoly``.
+fixed-width slot per exponent vector, or per total degree when collapsed,
+so the recursion and the sum fold by adding ints; ``unpack`` turns such an
+int back into a ``QPoly``.
 """
 
 from __future__ import annotations
@@ -13,17 +14,17 @@ import itertools
 from collections import Counter, defaultdict
 from functools import lru_cache
 from math import factorial
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 
 from . import engine, perm
 from .qpoly import QPoly
 
 
 def polynomial(classes: dict[frozenset[int], int], n: int, k: int,
-               chamber: bool = False) -> QPoly:
+               collapsed: bool = False) -> QPoly:
     """The sum of m F_R(q_1..q_k) over {R: m}: its packed values added, then unpacked once.
 
-    ``chamber`` keeps only the terms at weakly decreasing exponent vectors.
+    ``collapsed`` sets every q_i = q and returns the one-variable polynomial.
     The m must be naturals summing to at most n!, as tableau counts do, so
     every count fits the slot width of (n!)^k and no slot carries into the next.
     """
@@ -31,10 +32,13 @@ def polynomial(classes: dict[frozenset[int], int], n: int, k: int,
         raise ValueError(f"need n >= 1, got {n}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    counts = list(classes.values())
+    if any(m < 0 for m in counts) or sum(counts) > factorial(n):
+        raise ValueError(f"need natural counts summing to at most {n}!, got {counts}")
     width = slot_width(n, k)
-    chamber = chamber and k > 1
-    total = sum(m * packed_value(R, n, k, chamber, width) for R, m in classes.items())
-    return unpack(total, n, k, width, chamber)
+    collapsed = collapsed and k > 1
+    total = sum(m * packed_value(R, n, k, collapsed, width) for R, m in classes.items())
+    return unpack(total, n, k, width, collapsed)
 
 
 def _radix(n: int) -> int:
@@ -47,39 +51,38 @@ def slot_width(n: int, k: int) -> int:
     return ((factorial(n) ** k).bit_length() + 7) // 8
 
 
-def unpack(value: int, n: int, k: int, width: int, chamber: bool) -> QPoly:
+def unpack(value: int, n: int, k: int, width: int, collapsed: bool) -> QPoly:
     """The QPoly of a packed comaj value, read through one ``int.to_bytes``.
 
     The count at exponent vector e is the little-endian ``width``-byte slot
     number sum e_i B^(k-i), B = n(n-1)/2 + 1, so the slots in order are the
-    vectors of range(B)^k in lexicographic order.  ``chamber`` reads only
-    the weakly decreasing vectors.
+    vectors of range(B)^k in lexicographic order.  A ``collapsed`` value
+    holds the count at total degree d in slot d, for d <= k(B - 1), and
+    reads as a polynomial in one variable.
     """
     base = _radix(n)
-    data = value.to_bytes(base**k * width, "little")
-    if chamber:
-        vectors = list(itertools.combinations_with_replacement(range(base - 1, -1, -1), k))
-        places = [width * base**i for i in range(k - 1, -1, -1)]
-        starts = [sum(map(mul, e, places)) for e in vectors]
+    D = k * (base - 1)
+    if collapsed:
+        vectors, slots = ((d,) for d in range(D + 1)), D + 1
     else:
-        vectors = itertools.product(range(base), repeat=k)
-        starts = range(0, len(data), width)
+        vectors, slots = itertools.product(range(base), repeat=k), base**k
+    data = value.to_bytes(slots * width, "little")
     from_bytes = int.from_bytes
-    terms = {e: c for e, j in zip(vectors, starts)
+    terms = {e: c for e, j in zip(vectors, range(0, len(data), width))
              if (c := from_bytes(data[j:j + width], "little"))}
     # every e_i <= n(n-1)/2 = B - 1, so every vector is within the degree bound
-    return QPoly._trusted(k, k * (base - 1), terms)
+    return QPoly._trusted(1 if collapsed else k, D, terms)
 
 
 # Cache bounds: 2^(n-1) descent classes for each n <= 8.  A value at j
 # variables is packed at the slot width of the caller's k >= j; for k <= 4
-# that is four (j, k) pairs at j = 1 and six at j >= 2, the latter in both
-# modes, so 16 values per class.
+# that is four (j, k) pairs at j = 1 and six at j >= 2, the latter full and
+# collapsed, so 16 values per class.
 _CLASSES = 2**8 - 1
 
 
 @lru_cache(maxsize=16 * _CLASSES)
-def packed_value(R: frozenset[int], n: int, k: int, chamber: bool, width: int) -> int:
+def packed_value(R: frozenset[int], n: int, k: int, collapsed: bool, width: int) -> int:
     """The comaj tally over permutation vectors, as one recursion over descent classes.
 
     F_R(q_1..q_k) = sum over s in S_n of q_1^{c_R(s)} F_{Des(s^{-1})}(q_2..q_k).
@@ -95,27 +98,22 @@ def packed_value(R: frozenset[int], n: int, k: int, chamber: bool, width: int) -
     descent set F.  That depends on p only through Des(p^{-1}), since the
     descent algebra is closed under product (L. Solomon, J. Algebra 41,
     1976).  z_E is an involution with descent set E, so the steps after s
-    tally as the steps of F_E at k - 1 variables.  The term at (c, e_2..e_k)
-    reads F_E only at (e_2..e_k), so the chamber of F_R folds the chamber of
-    F_E, keeping a term only when e_2 <= c.
+    tally as the steps of F_E at k - 1 variables.  The recursion commutes
+    with setting every q_i = q, so a collapsed F_R folds collapsed F_E.
 
-    The value is packed as ``unpack`` reads it.  Its slots for e_1 = c
-    hold sum m F_E, the F_E at k - 1 variables sharing the width, so the
-    fold adds ints; the chamber keeps e_2 <= c, the slots below
-    (c + 1) B^(k-2).  No count exceeds (n!)^(k-1), so no slot overflows.
+    The value is packed as ``unpack`` reads it.  Its row for a first comaj
+    c is sum m F_E, the F_E at k - 1 variables sharing the width, so the
+    fold adds ints; the row goes to slot c B^(k-1), or to slot c when
+    collapsed, where the rows of different c overlap and add.  No count
+    exceeds (n!)^(k-1), not even the sum of all counts, so no slot overflows.
     """
     if k == 1:
         return 1 << 8 * width * _closing_comaj(R, n)
-    base = _radix(n)
-    block = 8 * width * base ** (k - 2)
+    stride = 8 * width * (1 if collapsed else _radix(n) ** (k - 1))
     value = 0
     for c, steps in _step_table(R, n):
-        low = (1 << block * (c + 1)) - 1
-        row = 0
-        for E, m in steps:
-            tail = packed_value(E, n, k - 1, chamber and k > 2, width)
-            row += m * (tail & low if chamber else tail)
-        value += row << block * base * c
+        row = sum(m * packed_value(E, n, k - 1, collapsed and k > 2, width) for E, m in steps)
+        value += row << stride * c
     return value
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from functools import lru_cache, reduce
-from math import factorial, prod
-from operator import eq
+from math import factorial
 
 from . import engine, fundamental, perm
 from .characters import centralizer_size, character
@@ -124,16 +123,15 @@ def fundamental_comaj_polynomial(R, n: int, k: int) -> QPoly:
     return fundamental.polynomial({frozenset(R): 1}, n, k)
 
 
-def schur_comaj_polynomial(lam: Partition, k: int, chamber: bool = False) -> QPoly:
+def schur_comaj_polynomial(lam: Partition, k: int, collapsed: bool = False) -> QPoly:
     """Sum of the fundamental values at the descent sets of the standard tableaux.
 
     Each distinct descent set is summed once, weighted by the number of
-    tableaux that have it.  The sum is symmetric in q_1..q_k, so its
-    ``chamber`` terms, at weakly decreasing exponent vectors, determine it.
+    tableaux that have it.  ``collapsed`` sets every q_i = q.
     """
     lam = partition(lam)
     return fundamental.polynomial(Counter(T.descent_set() for T in standard_tableaux(lam)),
-                                  sum(lam), k, chamber)
+                                  sum(lam), k, collapsed)
 
 
 def labeled_tableau_polynomial(lam: Partition, k: int) -> QPoly:
@@ -159,22 +157,8 @@ def _checked_weights(T, words, k: int):
 
 
 def graded_multiplicity_comaj(lam: Partition, k: int) -> QPoly:
-    """Single-variable graded multiplicity via total comaj weights.
-
-    The collapse of the symmetric Schur side, read off its chamber: each term
-    counts once per distinct permutation of its exponents.  That count
-    depends only on which neighbours of the weakly decreasing vector are
-    equal, so it is computed once per such pattern.
-    """
-    side = schur_comaj_polynomial(lam, k, chamber=True)
-    orbits: dict[tuple[bool, ...], int] = {}
-    acc: Counter = Counter()
-    for e, c in side.terms.items():
-        pattern = tuple(map(eq, e, e[1:]))
-        if pattern not in orbits:
-            orbits[pattern] = factorial(k) // prod(map(factorial, Counter(e).values()))
-        acc[sum(e)] += c * orbits[pattern]
-    return QPoly._trusted(1, side.D, {(d,): c for d, c in acc.items()})
+    """Single-variable graded multiplicity via total comaj weights: the collapsed Schur side."""
+    return schur_comaj_polynomial(lam, k, collapsed=True)
 
 
 def graded_multiplicity_character(lam: Partition, k: int) -> QPoly:

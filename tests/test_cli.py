@@ -135,6 +135,16 @@ def test_evaluate_fundamental_rejects_empty_n(capsys):
     assert "error: need n >= 1, got 0" in captured.err
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_evaluate_fundamental_rejects_r_outside_the_positions(capsys, k):
+    # the comaj route's k = 1 base and its step tables both refuse a bad R
+    rc = cli.main(["evaluate", "fundamental", "--n", "3", "--r-set", "5", "--k", k])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: R must be a subset of 1..2: [5]\n"
+
+
 def test_evaluate_rejects_low_degree_bound(capsys):
     for target in (["schur", "--lambda", "2,1"], ["fundamental", "--n", "3", "--r-set", "1"]):
         rc = cli.main(["evaluate", *target, "--k", "2", "--D", "3"])
@@ -287,8 +297,8 @@ def test_verify_prop41_shared_pairs_stream_digest(capsys, jobs):
      "757bf02807f5bd47ab70d54e53a14b6a2c28756674ef2c9fb20b95945aab94d6"),
     (["verify", "kronecker", "--n", "5", "--k", "4", "--jobs", "1"],
      "f3d7bb431dd24304ed39d8e9482b5ae9f621a5849be90fecd37a8e954d0d33bf"),
-    # n = 6 at k = 4 and n = 7 at k = 3, recorded from the full recursion before
-    # kronecker and multiplicity read the chamber
+    # n = 6 at k = 4 and n = 7 at k = 3, recorded from the full k-variable
+    # recursion, which kronecker and multiplicity no longer run
     (["verify", "kronecker", "--lambda", "3,2,1", "--k", "4", "--jobs", "1"],
      "06999ea7339a3342cde9e20012f927a6774717253e569b56cd1501249881b57d"),
     (["verify", "kronecker", "--n", "7", "--k", "3", "--jobs", "1"],

@@ -89,7 +89,7 @@ def test_fundamental_values_are_memoised(monkeypatch):
         identities.graded_multiplicity_comaj(lam, 2)
     # the engine reads only the k = 1 base: one closing step per descent set
     # of {1, 2, 3}, not one tally per tableau or per first step, and the
-    # chamber mode that graded_multiplicity_comaj uses shares that base
+    # collapsed mode that graded_multiplicity_comaj uses shares that base
     assert sorted(map(sorted, calls)) == sorted(map(sorted, all_subsets(4)))
     # R given as a list, a set or a frozenset is one cache key
     values = [identities.fundamental_comaj_polynomial(R, 4, 2)
@@ -101,7 +101,7 @@ def test_fundamental_values_are_memoised(monkeypatch):
     for lam in partitions(4):
         identities.graded_multiplicity_comaj(lam, 3)
     assert calls == []
-    # one step table per class, shared by k = 2 and 3 and by both modes
+    # one step table per class, shared by k = 2 and 3 and by the full and collapsed modes
     assert fundamental._step_table.cache_info().misses == 8
     # at n = 5 the values pack at 1, 2 and 3 bytes for k = 1, 2 and 3, each
     # width its own cache key, and still the engine runs once per class
@@ -123,37 +123,19 @@ def test_k1_base_is_the_single_comaj_term():
             ), (sorted(R), n)
 
 
-def _weakly_decreasing(e):
-    return all(a >= b for a, b in zip(e, e[1:]))
-
-
-def test_chamber_is_the_full_recursion_on_decreasing_vectors():
+def test_collapsed_fold_is_the_collapse_of_the_full_recursion():
+    # per class, so the non-symmetric F_R are checked too
     for n in range(1, 6):
         for k in (1, 2, 3):
             for R in all_subsets(n):
-                full = identities.fundamental_comaj_polynomial(R, n, k)
-                chamber = fundamental.polynomial({R: 1}, n, k, chamber=True)
-                assert chamber == QPoly(k, full.D, {
-                    e: c for e, c in full.terms.items() if _weakly_decreasing(e)
-                }), (sorted(R), n, k)
-
-
-def test_schur_side_is_its_chamber_expanded_over_permutations():
-    # the symmetry that the chamber and the orbit-weighted collapse rely on
-    cases = [(n, k) for n in range(1, 7) for k in (1, 2, 3)] + [(5, 4)]
-    for n, k in cases:
-        for lam in partitions(n):
-            chamber = identities.schur_comaj_polynomial(lam, k, chamber=True)
-            assert all(_weakly_decreasing(e) for e in chamber.terms)
-            expanded = {p: c for e, c in chamber.terms.items()
-                        for p in set(itertools.permutations(e))}
-            assert identities.schur_comaj_polynomial(lam, k) == QPoly(
-                k, chamber.D, expanded
-            ), (lam, k)
+                assert fundamental.polynomial({R: 1}, n, k, collapsed=True) == collapse(
+                    identities.fundamental_comaj_polynomial(R, n, k)
+                ), (sorted(R), n, k)
 
 
 def test_orbit_weighted_collapse_matches_the_full_collapse():
-    for n, k in [(4, 3), (5, 3), (6, 3), (5, 4)]:
+    # the collapsed fold of the Schur side against the collapse of its full recursion
+    for n, k in [(4, 3), (5, 3), (6, 3), (5, 4), (6, 4)]:
         for lam in partitions(n):
             assert identities.graded_multiplicity_comaj(lam, k) == collapse(
                 identities.schur_comaj_polynomial(lam, k)
@@ -167,12 +149,18 @@ def _pack(counts, n, k, width):
                for e, c in counts.items())
 
 
+def _pack_collapsed(counts, width):
+    # The collapsed layout: the count at total degree d in slot d.
+    return sum(c << 8 * width * d for d, c in counts.items())
+
+
 def test_unpack_edge_cases():
-    # n = 1 has the one exponent vector (0, ..., 0)
+    # n = 1 has the one exponent vector (0, ..., 0) and the one total degree 0
     for k in (1, 2, 3):
-        for chamber in (False, True):
-            assert fundamental.unpack(5, 1, k, 1, chamber) == QPoly(k, 0, {(0,) * k: 5})
-            assert fundamental.unpack(0, 1, k, 1, chamber) == QPoly.zero(k, 0)
+        assert fundamental.unpack(5, 1, k, 1, False) == QPoly(k, 0, {(0,) * k: 5})
+        assert fundamental.unpack(0, 1, k, 1, False) == QPoly.zero(k, 0)
+        assert fundamental.unpack(5, 1, k, 1, True) == QPoly(1, 0, {(0,): 5})
+        assert fundamental.unpack(0, 1, k, 1, True) == QPoly.zero(1, 0)
     assert fundamental.unpack(1 << 8 * 3, 4, 1, 1, False) == QPoly(1, 6, {(3,): 1})
     # a full slot beside nonzero slots: no carry, no sign, no bleed into its neighbours
     for width in (1, 2, 3):
@@ -180,23 +168,44 @@ def test_unpack_edge_cases():
         counts = {(2, 1, 0): 1, (2, 1, 1): top, (2, 1, 2): 7, (2, 2, 0): top, (3, 0, 0): 2}
         got = fundamental.unpack(_pack(counts, 3, 3, width), 3, 3, width, False)
         assert got == QPoly(3, 9, counts), width
+        degrees = {0: 1, 3: top, 4: 7, 5: top, 9: 2}
+        got = fundamental.unpack(_pack_collapsed(degrees, width), 3, 3, width, True)
+        assert got == QPoly(1, 9, {(d,): c for d, c in degrees.items()}), width
     with pytest.raises(OverflowError):
         fundamental.unpack(1 << 8 * 4, 2, 2, 1, False)
+    # a collapsed value at n = 2, k = 2 has the three degrees 0, 1, 2
+    with pytest.raises(OverflowError):
+        fundamental.unpack(1 << 8 * 3, 2, 2, 1, True)
 
 
-def test_chamber_unpack_is_the_full_unpack_on_decreasing_vectors():
+def test_unpack_reads_every_slot_in_both_modes():
     for n in range(1, 6):
         for k in (1, 2, 3):
             base = n * (n - 1) // 2 + 1
+            D = identities.exact_degree_bound(n, k)
             width = fundamental.slot_width(n, k)
             # every slot nonzero, and every count distinct
             counts = {e: 1 + i for i, e in enumerate(itertools.product(range(base), repeat=k))}
             value = _pack(counts, n, k, width)
-            full = fundamental.unpack(value, n, k, width, False)
-            assert full == QPoly(k, identities.exact_degree_bound(n, k), counts)
-            assert fundamental.unpack(value, n, k, width, True) == QPoly(k, full.D, {
-                e: c for e, c in full.terms.items() if _weakly_decreasing(e)
-            }), (n, k)
+            assert fundamental.unpack(value, n, k, width, False) == QPoly(k, D, counts), (n, k)
+            degrees = {d: 1 + d for d in range(D + 1)}
+            value = _pack_collapsed(degrees, width)
+            assert fundamental.unpack(value, n, k, width, True) == QPoly(
+                1, D, {(d,): c for d, c in degrees.items()}
+            ), (n, k)
+
+
+def test_polynomial_refuses_counts_it_cannot_pack():
+    # 300 would carry out of the one-byte slot of n = 3, k = 1 and read as 44 + q
+    for classes in ({frozenset(): 300}, {frozenset(): 3, frozenset({1}): 4},
+                    {frozenset(): -1}, {frozenset(): 7, frozenset({2}): -1}):
+        with pytest.raises(ValueError, match="natural counts summing to at most 3!"):
+            fundamental.polynomial(classes, 3, 1)
+    # n! itself fits, and a zero count adds nothing
+    assert fundamental.polynomial({frozenset(): 120}, 5, 1) == QPoly(1, 10, {(0,): 120})
+    assert fundamental.polynomial({frozenset(): 6, frozenset({1}): 0}, 3, 2) == (
+        identities.fundamental_comaj_polynomial(frozenset(), 3, 2) * 6
+    )
 
 
 def _fundamental_by_vectors(R, n, k):
@@ -270,6 +279,21 @@ def test_schur_formula_symmetric_in_variables():
         poly = identities.schur_comaj_polynomial(lam, 3)
         for images in itertools.permutations((1, 2, 3)):
             assert poly.permute_variables(images) == poly
+
+
+def test_schur_side_is_its_chamber_expanded_over_permutations():
+    # the Schur side is symmetric in q_1..q_k: its terms at weakly decreasing
+    # exponent vectors, each spread over the distinct permutations of its
+    # vector, give back the whole side
+    cases = [(n, k) for n in range(1, 7) for k in (1, 2, 3)] + [(5, 4)]
+    for n, k in cases:
+        for lam in partitions(n):
+            side = identities.schur_comaj_polynomial(lam, k)
+            chamber = {e: c for e, c in side.terms.items()
+                       if all(a >= b for a, b in zip(e, e[1:]))}
+            expanded = {p: c for e, c in chamber.items()
+                        for p in set(itertools.permutations(e))}
+            assert side == QPoly(k, side.D, expanded), (lam, k)
 
 
 def test_labeled_tableau_polynomial_matches_formula():
