@@ -315,19 +315,23 @@ def _check_options(args) -> None:
         raise ValueError(f"verify {args.suite} does not read --n next to --lambda")
 
 
-def _verify_tasks(args) -> list[tuple[str, tuple]]:
+def _verify_tasks(args):
     """(verify function name, its arguments) for every report, in stream order.
 
-    Every suite run must select a task, so ``all`` drops none silently.
+    The tasks are drawn lazily, but every suite run must select a task, so
+    each suite's first one is drawn before any is returned: ``all`` drops
+    no suite silently, and an option a suite refuses stops the run before
+    its first report.
     """
-    tasks = []
+    streams = []
     for suite in SUITES if args.suite == "all" else (args.suite,):
         name, _, payloads = SUITES[suite]
-        selected = [(name, payload) for payload in payloads(args)]
-        if not selected:
+        payloads = iter(payloads(args))
+        first = next(payloads, None)
+        if first is None:
             raise ValueError(f"verify {suite} selects no task")
-        tasks += selected
-    return tasks
+        streams.append(zip(itertools.repeat(name), itertools.chain((first,), payloads)))
+    return itertools.chain.from_iterable(streams)
 
 
 def _run_verify_task(task) -> tuple[bool, str]:
@@ -346,7 +350,10 @@ def cmd_verify(args, out) -> int:
     else:
         jobs = _positive("COMAJ_JOBS", int(os.environ.get("COMAJ_JOBS", "1")))
     tasks = _verify_tasks(args)
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:  # a pool's chunks need the task count; one worker streams
+        tasks = list(tasks)
+        workers = min(workers, len(tasks))
     passed = True
     with contextlib.ExitStack() as stack:
         results = map(_run_verify_task, tasks)

@@ -39,7 +39,9 @@ def empty_seqlist(n: int) -> SeqList:
     return ((),) * n
 
 
-@lru_cache(maxsize=None)
+# Cache bound: one entry per (R, n) with R a subset of 1..n-1, 511 of them
+# for n <= 9.
+@lru_cache(maxsize=512)
 def _run_ids(R: frozenset[int], n: int) -> tuple[int, ...]:
     """Run id of each index 1..n; a run breaks after index i when i not in R."""
     ids = [0] * n

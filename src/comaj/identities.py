@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import factorial
 
 from . import engine, fundamental, perm
@@ -308,14 +308,30 @@ def _within(cells: int, total: int):
 # callers that interleave a few boxes.  The side pairs are shared across
 # tables: one sweep over every R builds at most 184 distinct pairs for
 # n <= 5, r <= 3 and bound <= 4 (5 for n = 5, r = 1, bound 3), so every pair
-# of such a sweep stays cached.
+# of such a sweep stays cached, and with it the pair's verdict.
 _BOXES = 8
 _PAIRS = 512
+_EMPTY = frozenset()
+
+
+class _SidePair(tuple):
+    """The (left, right) sides of the injection-recursion keys that share them."""
+
+    def compare(self, params: dict | None) -> VerificationReport:
+        """The report of one key that reads this pair."""
+        return _compare("injection_recursion", params, _chained(
+            list(zip(("pochhammer_times_chain_side", "weighted_short_side"), self))))
+
+    @cached_property
+    def digests(self) -> dict[str, str] | None:
+        """Both sides' digests if they agree, else None: compared once, by the first report."""
+        report = self.compare(None)
+        return report.digests if report.passed else None
 
 
 @lru_cache(maxsize=_BOXES)
-def _box_buckets(R: tuple[int, ...], n: int, r: int,
-                 bound: int) -> dict[tuple, tuple[QPoly, QPoly]]:
+def _box_buckets(R: frozenset[int], n: int, r: int,
+                 bound: int) -> dict[tuple, _SidePair]:
     """Both compared sides of the injection recursion, keyed by (sigma, D).
 
     Left: (q_r; q_r)_n times the sum of q^Z over Z in (N^r)^n with reading
@@ -352,15 +368,22 @@ def _box_buckets(R: tuple[int, ...], n: int, r: int,
 
 @lru_cache(maxsize=_PAIRS)
 def _side_pair(n: int, r: int, bound: int, left: frozenset, c: int,
-               right: frozenset) -> tuple[QPoly, QPoly]:
+               right: frozenset) -> _SidePair:
     """(q_r; q_r)_n times the left counts, and q_r^c times the right counts.
 
     Each side is built from its own table only.  Empty tables give the
     zero pair of a key that no list reaches.
     """
     trunc = Truncation(r, bound)
-    return (pochhammer(r, n, trunc) * QPoly(*trunc, dict(left)),
-            QPoly.variable(*trunc, r, c) * QPoly(*trunc, dict(right)))
+    return _SidePair((pochhammer(r, n, trunc) * QPoly(*trunc, dict(left)),
+                      QPoly.variable(*trunc, r, c) * QPoly(*trunc, dict(right))))
+
+
+# Cache bound: one set per n <= 16.
+@lru_cache(maxsize=16)
+def _positions(n: int) -> frozenset[int]:
+    """1..n-1, the positions a descent set can hold."""
+    return frozenset(range(1, n))
 
 
 def verify_injection_recursion(R, n: int, target, sigma,
@@ -373,34 +396,34 @@ def verify_injection_recursion(R, n: int, target, sigma,
     that descent set.  Both sides are truncated at total degree
     ``bound``, so only the lists whose entries sum to at most ``bound``
     are enumerated; no factor has a negative degree, so the lists left
-    out cannot disturb the truncated sides.
+    out cannot disturb the truncated sides.  Keys that share a side pair
+    share its verdict; each report gets its own digests.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if bound < 0:
         raise ValueError(f"need bound >= 0, got {bound}")
-    Rf = frozenset(R)
+    R = frozenset(R)
     target = frozenset(target)
     sigma = perm.perm(sigma)
     if len(sigma) != n:
         raise ValueError(f"permutation size {len(sigma)} != {n}")
-    if any(not 1 <= i <= n - 1 for i in target):
+    if not target <= _positions(n):
         raise ValueError(f"target must be a subset of 1..{n - 1}: {sorted(target)!r}")
-    left, right = (_box_buckets(tuple(sorted(Rf)), n, r, bound).get((sigma, target))
-                   or _side_pair(n, r, bound, frozenset(), 0, frozenset()))
+    pair = (_box_buckets(R, n, r, bound).get((sigma, target))
+            or _side_pair(n, r, bound, _EMPTY, 0, _EMPTY))
     params = {
-        "R": sorted(Rf),
+        "R": sorted(R),
         "n": n,
         "target": sorted(target),
         "sigma": list(sigma),
         "r": r,
         "bound": bound,
     }
-    return _compare(
-        "injection_recursion",
-        params,
-        _chained([("pochhammer_times_chain_side", left), ("weighted_short_side", right)]),
-    )
+    digests = pair.digests
+    if digests is None:  # each failing report builds its own counterexample
+        return pair.compare(params)
+    return VerificationReport("injection_recursion", params, "pass", dict(digests))
 
 
 def verify_variable_reindex(lam: Partition, m: int) -> VerificationReport:

@@ -94,7 +94,8 @@ class StandardTableau:
         return f"StandardTableau({[list(r) for r in self.rows]!r})"
 
 
-@lru_cache(maxsize=None)
+# Cache bound: one entry per shape, 96 of them for n <= 9 (p(1) + ... + p(9)).
+@lru_cache(maxsize=128)
 def standard_tableaux(shape: Partition) -> tuple[StandardTableau, ...]:
     """All standard tableaux of a shape, sorted by their reading words."""
     shape = partition(shape)

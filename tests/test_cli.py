@@ -347,10 +347,13 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     (["prop41", "--n", "1"], "verify prop41 selects no task"),
     # prop41 has no task below n = 2, and "all" names it instead of dropping it
     (["all", "--max-n", "1", "--max-k", "1"], "verify prop41 selects no task"),
+    # an R outside 1..n-1 is refused by the first task, before any line
+    (["prop41", "--n", "5", "--r", "1", "--bound", "3", "--r-set", "9"],
+     "R must be a subset of 1..4: [9]"),
 ], ids=["r0", "bound-1", "m0", "n0", "k0", "prop41-k", "reindex-k", "kronecker-n-lambda",
         "finite-n-lambda", "row-bound", "kronecker-D", "quasi-m", "row-r", "finite-r-set",
         "quasi-lambda", "empty-lambda", "all-max-n0", "all-max-k0",
-        "prop41-n1", "all-max-n1"])
+        "prop41-n1", "all-max-n1", "prop41-r-set-outside"])
 def test_verify_rejects_out_of_range_options(capsys, argv, message):
     # an explicit 0 is not the default range
     rc = cli.main(["verify", *argv, "--jobs", "1"])
@@ -404,6 +407,38 @@ def test_failed_run_keeps_finished_reports(tmp_path, capsys, jobs):
         ([1], 1), ([1], 2), ([2], 1), ([2], 2), ([1, 1], 1), ([1, 1], 2)]
     assert all(r["status"] == "pass" for r in reports)
     assert target.read_text() == captured.out
+
+
+def test_one_worker_streams_its_tasks(capsys, monkeypatch):
+    # a task that fails mid-stream leaves a prefix of the full stream, and
+    # under --jobs 1 no task past the failing one has been drawn
+    argv = ["verify", "prop41", "--n", "3", "--r", "1", "--bound", "2", "--jobs", "1"]
+    assert cli.main(argv) == 0
+    full = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(full) == 96
+    name, reads, payloads = cli.SUITES["prop41"]
+    drawn = []
+
+    def counted(args):
+        for payload in payloads(args):
+            drawn.append(payload)
+            yield payload
+
+    verify = cli.identities.verify_injection_recursion
+
+    def fails_eighth(*payload):
+        if len(drawn) == 8:
+            raise ValueError("task 8 failed")
+        return verify(*payload)
+
+    monkeypatch.setitem(cli.SUITES, "prop41", (name, reads, counted))
+    monkeypatch.setattr(cli.identities, "verify_injection_recursion", fails_eighth)
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: task 8 failed" in captured.err
+    assert captured.out == "".join(full[:7])
+    assert len(drawn) == 8
 
 
 def test_parser_does_not_import_multiprocessing():

@@ -473,3 +473,15 @@ def test_empty_r_descents_factor_through_reading_order():
         lhs = engine.descents(frozenset(), S, sigma)
         rhs = perm.descent_set(perm.compose(perm.inverse(tau), sigma))
         assert lhs == rhs
+
+
+def test_run_ids_cache_holds_every_class_up_to_n9():
+    # the bounded cache keeps the 511 (R, n) keys of n <= 9 without evicting
+    engine._run_ids.cache_clear()
+    for _ in range(2):
+        for n in range(1, 10):
+            for R in all_subsets(n):
+                assert engine._run_ids(R, n) == tuple(
+                    sum(i not in R for i in range(1, j)) for j in range(1, n + 1))
+    info = engine._run_ids.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (511, 511, 511)

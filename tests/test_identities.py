@@ -587,6 +587,59 @@ def test_box_buckets_match_two_loop_enumeration():
     assert len({id(pair) for pair in keys}) <= 5
 
 
+def test_shared_verdicts_match_the_per_key_comparison():
+    # the per-key path: every key compares its own side pair, with its own params
+    sides = ("pochhammer_times_chain_side", "weighted_short_side")
+    cases = [(n, r, bound) for n in (1, 2, 3, 4) for r in (1, 2) for bound in range(4)]
+    for n, r, bound in cases + [(5, 1, 3)]:
+        zero = QPoly.zero(r, bound)
+        for R in all_subsets(n):
+            table = identities._box_buckets(R, n, r, bound)
+            for target in all_subsets(n):
+                for sigma in perm.symmetric_group(n):
+                    pair = table.get((sigma, target), (zero, zero))
+                    params = {"R": sorted(R), "n": n, "target": sorted(target),
+                              "sigma": list(sigma), "r": r, "bound": bound}
+                    expected = _compare("injection_recursion", params,
+                                        identities._chained(list(zip(sides, pair))))
+                    got = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
+                    assert got.to_json_line() == expected.to_json_line(), (R, n, target, sigma)
+
+
+def test_reports_that_share_a_pair_own_their_dicts(monkeypatch):
+    # two reports of one key read one cached pair and verdict: zero or not,
+    # a caller who edits the first report leaves the second one as it was
+    R, n, r, bound = frozenset({1, 3}), 5, 1, 3
+    table = identities._box_buckets(R, n, r, bound)
+    keys = [(sigma, target) for target in all_subsets(n) for sigma in perm.symmetric_group(n)]
+    present = next(key for key in keys if key in table)
+    missing = next(key for key in keys if key not in table)
+    for sigma, target in (present, missing):
+        first = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
+        line = first.to_json_line()
+        first.digests["pochhammer_times_chain_side"] = "edited"
+        first.digests["extra"] = "added"
+        first.params["R"].append(9)
+        again = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
+        assert again.to_json_line() == line
+    # a failing pair gives each report its own counterexample
+    unequal = identities._SidePair((QPoly(1, 3, {(1,): 1}), QPoly(1, 3, {(1,): 2})))
+    monkeypatch.setattr(identities, "_box_buckets",
+                        lambda *args: {((1, 2), frozenset()): unequal})
+    first = identities.verify_injection_recursion(frozenset(), 2, frozenset(), (1, 2), 1, 3)
+    assert first.counterexample == {"pair": ["pochhammer_times_chain_side",
+                                             "weighted_short_side"],
+                                    "exponent": [1], "left": "1", "right": "2"}
+    line = first.to_json_line()
+    first.counterexample["pair"].reverse()
+    first.counterexample["exponent"].append(9)
+    first.counterexample["left"] = "edited"
+    first.digests.clear()
+    again = identities.verify_injection_recursion(frozenset(), 2, frozenset(), (1, 2), 1, 3)
+    assert not again.passed
+    assert again.to_json_line() == line
+
+
 def test_variable_reindex_driver():
     assert identities.verify_variable_reindex((2,), 1).passed
     assert identities.verify_variable_reindex((1,), 3).passed

@@ -90,3 +90,14 @@ def test_tableau_validation():
         StandardTableau([[1, 2], [4]])  # entries not 1..n
     with pytest.raises(ValueError):
         StandardTableau([[1], [2, 3]])  # shape not a partition
+
+
+def test_standard_tableaux_cache_holds_every_shape_up_to_n9():
+    # the bounded cache keeps the 96 shapes of n <= 9 without evicting
+    standard_tableaux.cache_clear()
+    for _ in range(2):
+        for n in range(1, 10):
+            for lam in partitions(n):
+                assert len(standard_tableaux(lam)) == hook_length_count(lam)
+    info = standard_tableaux.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (96, 96, 96)
