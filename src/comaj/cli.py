@@ -341,28 +341,29 @@ def _run_verify_task(task) -> tuple[bool, str]:
     return report.passed, report.to_json_line()
 
 
+# The most tasks in one pool chunk.  A larger chunk holds more tasks and lines
+# in memory; a smaller one splits more prop41 bucket tables between workers.
+_CHUNK = 4096
+
+
 def cmd_verify(args, out) -> int:
     _check_options(args)
     _positive("max-n", args.max_n)
     _positive("max-k", args.max_k)
-    if args.jobs is not None:
-        jobs = _positive("jobs", args.jobs)
-    else:
-        jobs = _positive("COMAJ_JOBS", int(os.environ.get("COMAJ_JOBS", "1")))
+    workers = min(_positive("jobs", args.jobs), os.cpu_count() or 1)
+    if workers > 1:  # a pool's chunk size needs the task count: count a second, discarded stream
+        count = sum(1 for _ in _verify_tasks(args))
+        workers = min(workers, count)
     tasks = _verify_tasks(args)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:  # a pool's chunks need the task count; one worker streams
-        tasks = list(tasks)
-        workers = min(workers, len(tasks))
     passed = True
     with contextlib.ExitStack() as stack:
         results = map(_run_verify_task, tasks)
         if workers > 1:
-            # imported here: it loads multiprocessing, which only a pool needs
-            from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            chunk = max(1, len(tasks) // (workers * 4))
-            results = pool.map(_run_verify_task, tasks, chunksize=chunk)
+            from multiprocessing import Pool  # imported here: only a pool needs it
+            pool = stack.enter_context(Pool(workers))
+            # imap draws the tasks lazily and yields the results in task order
+            chunk = max(1, min(count // (4 * workers), _CHUNK))
+            results = pool.imap(_run_verify_task, tasks, chunksize=chunk)
         for ok, line in results:
             _emit(line + "\n", out)
             passed = passed and ok
@@ -419,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-k", dest="max_k", type=int, default=2)
     for dest, (flag, type_, help_) in _OPTIONS.items():
         p_verify.add_argument(flag, dest=dest, type=type_, help=help_)
-    p_verify.add_argument("--jobs", type=int)
+    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.set_defaults(handler=cmd_verify)
 
     for command in (p_stat, *eval_sub.choices.values(), p_mult, p_verify):

@@ -46,12 +46,9 @@ class Truncation(NamedTuple):
 
 
 class QPoly:
-    """Immutable truncated polynomial; ``terms`` is a read-only view, so cached values stay intact.
+    """Immutable truncated polynomial; ``terms`` is a read-only view, so cached values stay intact."""
 
-    The value never changes, so ``digest()`` is computed on its first call and kept.
-    """
-
-    __slots__ = ("k", "D", "_terms", "_digest")
+    __slots__ = ("k", "D", "_terms")
 
     def __init__(self, k: int, D: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if k < 1 or D < 0:
@@ -68,7 +65,6 @@ class QPoly:
             if sum(e) <= D:
                 clean[e] = c
         self._terms = clean
-        self._digest = None
 
     @classmethod
     def _trusted(cls, k: int, D: int, terms: Mapping[tuple[int, ...], int]) -> QPoly:
@@ -81,7 +77,6 @@ class QPoly:
         p.k = k
         p.D = D
         p._terms = {e: c for e, c in terms.items() if c}
-        p._digest = None
         return p
 
     @property
@@ -242,10 +237,8 @@ class QPoly:
         return canonical_json(self.to_obj())
 
     def digest(self) -> str:
-        """sha256 of ``to_json()``, memoised on the first call."""
-        if self._digest is None:
-            self._digest = hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-        return self._digest
+        """sha256 of ``to_json()``."""
+        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -325,7 +318,8 @@ def pochhammer_all(n: int, trunc: Truncation) -> QPoly:
     return result
 
 
-@lru_cache(maxsize=None)
+# Cache bound: `verify all --max-n 5 --max-k 3` fills 45 power sums.
+@lru_cache(maxsize=64)
 def power_sum_principal(r: int, trunc: Truncation) -> QPoly:
     """p_r at the alphabet of all monomials: product of 1/(1 - q_i^r)."""
     if r < 1:
@@ -341,17 +335,25 @@ def power_sum_principal(r: int, trunc: Truncation) -> QPoly:
     return result
 
 
-@lru_cache(maxsize=None)
+# Cache bound: `verify all --max-n 5 --max-k 3` reads h_m at 15 truncations.
+@lru_cache(maxsize=16)
+def _homogeneous(trunc: Truncation) -> list[QPoly]:
+    """h_0, h_1, ... at one truncation; homogeneous_principal extends it in place."""
+    return [QPoly.one(*trunc)]
+
+
 def homogeneous_principal(m: int, trunc: Truncation) -> QPoly:
     """h_m at the alphabet of all monomials, via m*h_m = sum p_r h_{m-r}."""
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
-    if m == 0:
-        return QPoly.one(*trunc)
-    acc = QPoly.zero(*trunc)
-    for r in range(1, m + 1):
-        acc = acc + power_sum_principal(r, trunc) * homogeneous_principal(m - r, trunc)
-    return exact_div(acc, m)
+    hs = _homogeneous(trunc)
+    while len(hs) <= m:
+        j = len(hs)
+        acc = QPoly.zero(*trunc)
+        for r in range(1, j + 1):
+            acc = acc + power_sum_principal(r, trunc) * hs[j - r]
+        hs.append(exact_div(acc, j))
+    return hs[m]
 
 
 def schur_principal_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:

@@ -1,10 +1,13 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import comaj
 from comaj import cli
 from comaj.identities import VerificationReport
 
@@ -473,38 +476,17 @@ def test_byte_identical_reruns():
     assert a.stdout == b.stdout and a.returncode == 0
 
 
-def test_jobs_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("COMAJ_JOBS", "2")
-    rc = cli.main(["verify", "row", "--max-n", "2", "--max-k", "2"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert len(out.strip().splitlines()) == 4
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Each pool started: its size, the tasks it is handed and its chunk size.
 
-
-@pytest.mark.parametrize("jobs, env, message", [
-    (["--jobs", "0"], "2", "need jobs >= 1, got 0"),
-    (["--jobs", "-2"], "2", "need jobs >= 1, got -2"),
-    ([], "0", "need COMAJ_JOBS >= 1, got 0"),
-], ids=["jobs0", "jobs-2", "env0"])
-def test_verify_rejects_jobs_below_one(capsys, monkeypatch, jobs, env, message):
-    # refused before any task runs: --jobs does not fall back to COMAJ_JOBS
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                        lambda **kw: pytest.fail("pool started"))
-    monkeypatch.setenv("COMAJ_JOBS", env)
-    rc = cli.main(["verify", "row", "--max-n", "2", "--max-k", "2", *jobs])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert f"error: {message}" in captured.err
-
-
-def test_jobs_capped_by_cpus_and_tasks(capsys, monkeypatch):
-    # a fake pool records the requested size and runs the tasks inline
-    sizes = []
+    The fake pool runs the tasks inline.
+    """
+    started = []
 
     class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -512,19 +494,52 @@ def test_jobs_capped_by_cpus_and_tasks(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
+        def imap(self, fn, tasks, chunksize=1):
+            started.append((self.processes, tasks, chunksize))
             return map(fn, tasks)
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr("multiprocessing.Pool", FakePool)
+    return started
+
+
+@pytest.mark.parametrize("jobs, message", [
+    ("0", "need jobs >= 1, got 0"),
+    ("-2", "need jobs >= 1, got -2"),
+], ids=["jobs0", "jobs-2"])
+def test_verify_rejects_jobs_below_one(capsys, fake_pool, jobs, message):
+    # refused before any task runs or any pool starts
+    rc = cli.main(["verify", "row", "--max-n", "2", "--max-k", "2", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+    assert fake_pool == []
+
+
+def test_jobs_capped_by_cpus_and_tasks(capsys, monkeypatch, fake_pool):
     args = ["verify", "row", "--max-n", "2", "--max-k", "2", "--jobs", "5000"]  # 4 tasks
     for cpus, expected in [(3, 3), (64, 4)]:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         assert cli.main(args) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 4
-        assert sizes.pop() == expected
+        assert fake_pool.pop()[0] == expected
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     assert cli.main(args) == 0
-    assert sizes == []
+    assert fake_pool == []
+
+
+@pytest.mark.parametrize("argv, count, chunk", [
+    (["row", "--max-n", "2", "--max-k", "2"], 4, 1),
+    (["prop41", "--n", "6", "--r-set", "1,3", "--bound", "0"], 46080, cli._CHUNK),
+], ids=["row", "prop41-n6"])
+def test_pool_is_handed_a_task_stream(capsys, monkeypatch, fake_pool, argv, count, chunk):
+    # the pool draws its tasks from an iterator, in chunks of at most _CHUNK tasks
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli.main(["verify", *argv, "--jobs", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == count
+    [(workers, tasks, size)] = fake_pool
+    assert workers == 2 and size == chunk
+    assert not isinstance(tasks, list) and iter(tasks) is tasks
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -550,3 +565,17 @@ def test_help_text_digest(capsys, monkeypatch, argv, digest):
 
 def test_parser_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_every_cache_is_bounded():
+    # a long sweep reads ever more keys; only the argument-free parser may
+    # keep an unbounded cache
+    unbounded = set()
+    for info in pkgutil.iter_modules(comaj.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"comaj.{info.name}")
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_parameters") and fn.cache_parameters()["maxsize"] is None:
+                unbounded.add(f"{fn.__module__}.{fn.__qualname__}")
+    assert unbounded == {"comaj.cli.build_parser"}
