@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import factorial
 
 from . import engine, fundamental, perm
@@ -305,34 +305,19 @@ def _within(cells: int, total: int):
 
 # Cache bounds.  A prop41 sweep reads each (R, n, r, bound) in one contiguous
 # block of tasks, so it needs one bucket table at a time; the rest serve
-# callers that interleave a few boxes.  The side pairs are shared across
-# tables: one sweep over every R builds at most 184 distinct pairs for
-# n <= 5, r <= 3 and bound <= 4 (5 for n = 5, r = 1, bound 3), so every pair
-# of such a sweep stays cached, and with it the pair's verdict.
+# callers that interleave a few boxes.  The verdicts are shared across
+# tables: one sweep over every R reaches at most 184 distinct side pairs for
+# n <= 5, r <= 3 and bound <= 4 (5 for n = 5, r = 1, bound 3), so every
+# verdict of such a sweep stays cached.
 _BOXES = 8
 _PAIRS = 512
 _EMPTY = frozenset()
 
 
-class _SidePair(tuple):
-    """The (left, right) sides of the injection-recursion keys that share them."""
-
-    def compare(self, params: dict | None) -> VerificationReport:
-        """The report of one key that reads this pair."""
-        return _compare("injection_recursion", params, _chained(
-            list(zip(("pochhammer_times_chain_side", "weighted_short_side"), self))))
-
-    @cached_property
-    def digests(self) -> dict[str, str] | None:
-        """Both sides' digests if they agree, else None: compared once, by the first report."""
-        report = self.compare(None)
-        return report.digests if report.passed else None
-
-
 @lru_cache(maxsize=_BOXES)
 def _box_buckets(R: frozenset[int], n: int, r: int,
-                 bound: int) -> dict[tuple, _SidePair]:
-    """Both compared sides of the injection recursion, keyed by (sigma, D).
+                 bound: int) -> dict[tuple, VerificationReport]:
+    """The verdict of the injection recursion at each reached (sigma, D).
 
     Left: (q_r; q_r)_n times the sum of q^Z over Z in (N^r)^n with reading
     order sigma and trailing descent set D.  Right: q_r^{c(D)} times the
@@ -358,25 +343,27 @@ def _box_buckets(R: frozenset[int], n: int, r: int,
             sigma = engine.reading_order(Rf, Z)
             left[sigma, tail_descents[sigma]][engine.seq_weight(Z, r)] += 1
     # A Z's key is the key of its tail list, so the right table has every key.
-    # q_r^c is zero below the bound once c > bound, so those c share a pair.
+    # q_r^c is zero below the bound once c > bound, so those c share a verdict.
     return {
-        (sigma, D): _side_pair(n, r, bound, frozenset(left.get((sigma, D), {}).items()),
-                               min(sum(n - i for i in D), bound + 1), frozenset(counts.items()))
+        (sigma, D): _verdict(n, r, bound, frozenset(left.get((sigma, D), {}).items()),
+                             min(sum(n - i for i in D), bound + 1), frozenset(counts.items()))
         for (sigma, D), counts in right.items()
     }
 
 
 @lru_cache(maxsize=_PAIRS)
-def _side_pair(n: int, r: int, bound: int, left: frozenset, c: int,
-               right: frozenset) -> _SidePair:
-    """(q_r; q_r)_n times the left counts, and q_r^c times the right counts.
+def _verdict(n: int, r: int, bound: int, left: frozenset, c: int,
+             right: frozenset) -> VerificationReport:
+    """(q_r; q_r)_n times the left counts, compared with q_r^c times the right counts.
 
     Each side is built from its own table only.  Empty tables give the
-    zero pair of a key that no list reaches.
+    verdict of a key that no list reaches.  The report has no params.
     """
     trunc = Truncation(r, bound)
-    return _SidePair((pochhammer(r, n, trunc) * QPoly(*trunc, dict(left)),
-                      QPoly.variable(*trunc, r, c) * QPoly(*trunc, dict(right))))
+    return _compare("injection_recursion", None, [(
+        ("pochhammer_times_chain_side", pochhammer(r, n, trunc) * QPoly(*trunc, dict(left))),
+        ("weighted_short_side", QPoly.variable(*trunc, r, c) * QPoly(*trunc, dict(right))),
+    )])
 
 
 # Cache bound: one set per n <= 16.
@@ -397,7 +384,8 @@ def verify_injection_recursion(R, n: int, target, sigma,
     ``bound``, so only the lists whose entries sum to at most ``bound``
     are enumerated; no factor has a negative degree, so the lists left
     out cannot disturb the truncated sides.  Keys that share a side pair
-    share its verdict; each report gets its own digests.
+    share its verdict; each report gets its own params, digests and
+    counterexample.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -410,8 +398,8 @@ def verify_injection_recursion(R, n: int, target, sigma,
         raise ValueError(f"permutation size {len(sigma)} != {n}")
     if not target <= _positions(n):
         raise ValueError(f"target must be a subset of 1..{n - 1}: {sorted(target)!r}")
-    pair = (_box_buckets(R, n, r, bound).get((sigma, target))
-            or _side_pair(n, r, bound, _EMPTY, 0, _EMPTY))
+    verdict = (_box_buckets(R, n, r, bound).get((sigma, target))
+               or _verdict(n, r, bound, _EMPTY, 0, _EMPTY))
     params = {
         "R": sorted(R),
         "n": n,
@@ -420,10 +408,12 @@ def verify_injection_recursion(R, n: int, target, sigma,
         "r": r,
         "bound": bound,
     }
-    digests = pair.digests
-    if digests is None:  # each failing report builds its own counterexample
-        return pair.compare(params)
-    return VerificationReport("injection_recursion", params, "pass", dict(digests))
+    counterexample = verdict.counterexample and {
+        name: list(value) if isinstance(value, list) else value
+        for name, value in verdict.counterexample.items()
+    }
+    return VerificationReport("injection_recursion", params, verdict.status,
+                              dict(verdict.digests), counterexample)
 
 
 def verify_variable_reindex(lam: Partition, m: int) -> VerificationReport:

@@ -346,6 +346,8 @@ def homogeneous_principal(m: int, trunc: Truncation) -> QPoly:
     """h_m at the alphabet of all monomials, via m*h_m = sum p_r h_{m-r}."""
     if m < 0:
         raise ValueError(f"need m >= 0, got {m}")
+    # h_m is the sum over j <= m of h_j(non-constant monomials), which starts at degree j.
+    m = min(m, trunc.D)
     hs = _homogeneous(trunc)
     while len(hs) <= m:
         j = len(hs)

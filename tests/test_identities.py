@@ -560,54 +560,63 @@ def test_within_yields_bounded_tuples():
     assert list(identities._within(0, 5)) == [()]
 
 
+def _sha256(side):
+    return hashlib.sha256(side.to_json().encode()).hexdigest()
+
+
+_SIDES = ("pochhammer_times_chain_side", "weighted_short_side")
+
+
 def test_box_buckets_match_two_loop_enumeration():
     # The oracle walks every list with entries at most bound, so it also has
     # keys reached only by lists above the degree bound; both sides of those
     # truncate to zero, which is what verify_injection_recursion looks up.
     cases = [(n, r, bound) for n in (2, 3) for r in (1, 2, 3) for bound in (1, 2, 3)]
-    identities._side_pair.cache_clear()
+    identities._verdict.cache_clear()
     for n, r, bound in cases + [(4, 1, 3), (5, 1, 3)]:
         zero = QPoly.zero(r, bound)
-        pairs = {}
         for R in all_subsets(n):
             expected = _two_loop_sides(R, n, r, bound)
             got = identities._box_buckets(tuple(sorted(R)), n, r, bound)
             for key in expected.keys() | got.keys():
-                assert got.get(key, (zero, zero)) == expected.get(key, (zero, zero)), (
+                sides = expected.get(key, (zero, zero))
+                if key not in got:
+                    assert sides == (zero, zero), (R, n, r, bound, key)
+                    continue
+                verdict = got[key]
+                assert verdict.digests == dict(zip(_SIDES, map(_sha256, sides))), (
                     R, n, r, bound, key)
-            pairs.update((id(pair), pair) for pair in got.values())
-        for pair in pairs.values():
-            for side in pair:
-                assert side.digest() == hashlib.sha256(side.to_json().encode()).hexdigest()
-    # keys whose count tables and c(D) agree share one pair, across every R:
-    # the 16 R of the benchmark's report-heavy shape hold 1920 keys
-    keys = [pair for R in all_subsets(5)
-            for pair in identities._box_buckets(tuple(sorted(R)), 5, 1, 3).values()]
+                assert verdict.passed == (sides[0] == sides[1])
+    # keys whose count tables and c(D) agree share one verdict, across every
+    # R: the 16 R of the benchmark's report-heavy shape hold 1920 keys
+    keys = [verdict for R in all_subsets(5)
+            for verdict in identities._box_buckets(tuple(sorted(R)), 5, 1, 3).values()]
     assert len(keys) == 1920
-    assert len({id(pair) for pair in keys}) <= 5
+    assert len({id(verdict) for verdict in keys}) <= 5
 
 
 def test_shared_verdicts_match_the_per_key_comparison():
-    # the per-key path: every key compares its own side pair, with its own params
-    sides = ("pochhammer_times_chain_side", "weighted_short_side")
-    cases = [(n, r, bound) for n in (1, 2, 3, 4) for r in (1, 2) for bound in range(4)]
-    for n, r, bound in cases + [(5, 1, 3)]:
+    # the per-key path: every key compares its own two-loop sides, with its own params
+    cases = [(R, n, r, bound) for n in (1, 2, 3, 4) for r in (1, 2) for bound in range(4)
+             if (n, r, bound) != (4, 2, 3) for R in all_subsets(n)]
+    # one R at n = 4, r = 2, bound 3, where the oracle walks 4^8 lists per R
+    cases += [(frozenset({1, 3}), 4, 2, 3)] + [(R, 5, 1, 3) for R in all_subsets(5)]
+    for R, n, r, bound in cases:
         zero = QPoly.zero(r, bound)
-        for R in all_subsets(n):
-            table = identities._box_buckets(R, n, r, bound)
-            for target in all_subsets(n):
-                for sigma in perm.symmetric_group(n):
-                    pair = table.get((sigma, target), (zero, zero))
-                    params = {"R": sorted(R), "n": n, "target": sorted(target),
-                              "sigma": list(sigma), "r": r, "bound": bound}
-                    expected = _compare("injection_recursion", params,
-                                        identities._chained(list(zip(sides, pair))))
-                    got = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
-                    assert got.to_json_line() == expected.to_json_line(), (R, n, target, sigma)
+        oracle = _two_loop_sides(R, n, r, bound)
+        for target in all_subsets(n):
+            for sigma in perm.symmetric_group(n):
+                sides = oracle.get((sigma, target), (zero, zero))
+                params = {"R": sorted(R), "n": n, "target": sorted(target),
+                          "sigma": list(sigma), "r": r, "bound": bound}
+                expected = _compare("injection_recursion", params,
+                                    identities._chained(list(zip(_SIDES, sides))))
+                got = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
+                assert got.to_json_line() == expected.to_json_line(), (R, n, target, sigma)
 
 
 def test_reports_that_share_a_pair_own_their_dicts(monkeypatch):
-    # two reports of one key read one cached pair and verdict: zero or not,
+    # two reports of one key read one cached verdict: zero or not,
     # a caller who edits the first report leaves the second one as it was
     R, n, r, bound = frozenset({1, 3}), 5, 1, 3
     table = identities._box_buckets(R, n, r, bound)
@@ -622,22 +631,25 @@ def test_reports_that_share_a_pair_own_their_dicts(monkeypatch):
         first.params["R"].append(9)
         again = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
         assert again.to_json_line() == line
-    # a failing pair gives each report its own counterexample
-    unequal = identities._SidePair((QPoly(1, 3, {(1,): 1}), QPoly(1, 3, {(1,): 2})))
+    # a failing verdict gives each report its own counterexample
+    failing = _compare("injection_recursion", None, [
+        ((_SIDES[0], QPoly(1, 3, {(1,): 1})), (_SIDES[1], QPoly(1, 3, {(1,): 2})))])
+    cached = failing.to_json_line()
     monkeypatch.setattr(identities, "_box_buckets",
-                        lambda *args: {((1, 2), frozenset()): unequal})
+                        lambda *args: {((1, 2), frozenset()): failing})
     first = identities.verify_injection_recursion(frozenset(), 2, frozenset(), (1, 2), 1, 3)
-    assert first.counterexample == {"pair": ["pochhammer_times_chain_side",
-                                             "weighted_short_side"],
-                                    "exponent": [1], "left": "1", "right": "2"}
+    assert first.counterexample == {"pair": list(_SIDES), "exponent": [1],
+                                    "left": "1", "right": "2"}
     line = first.to_json_line()
     first.counterexample["pair"].reverse()
     first.counterexample["exponent"].append(9)
     first.counterexample["left"] = "edited"
     first.digests.clear()
+    first.params.clear()
     again = identities.verify_injection_recursion(frozenset(), 2, frozenset(), (1, 2), 1, 3)
     assert not again.passed
     assert again.to_json_line() == line
+    assert failing.to_json_line() == cached
 
 
 def test_variable_reindex_driver():

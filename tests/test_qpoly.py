@@ -10,6 +10,7 @@ from comaj.characters import centralizer_size
 from comaj.qpoly import (
     QPoly,
     Truncation,
+    _homogeneous,
     collapse,
     exact_div,
     homogeneous_principal,
@@ -268,8 +269,11 @@ def test_homogeneous_values():
     # one variable: h_2 equals the inverse of (q;q)_2
     t1 = Truncation(1, 8)
     assert homogeneous_principal(2, t1) == geometric_inverse(pochhammer(1, 2, t1))
-    # past the power-sum cache bound at one truncation, without recursing on every h_j
+    # past the degree bound h_m is h_D, so one truncation holds at most D + 1 values
     assert homogeneous_principal(100, t1) == geometric_inverse(pochhammer(1, 100, t1))
+    t3 = Truncation(1, 3)
+    assert homogeneous_principal(900, t3) == homogeneous_principal(3, t3)
+    assert len(_homogeneous(t3)) <= 4
 
 
 def test_newton_recursion_consistency():
