@@ -42,6 +42,8 @@ def parse_perms_arg(text: str) -> tuple[tuple[int, ...], ...]:
         return ()
     if ";" in text:
         tokens = text.split(";")
+        if not tokens[-1]:
+            tokens.pop()
     else:
         tokens = text.split(",")
     return tuple(parse_perm_token(tok) for tok in tokens)

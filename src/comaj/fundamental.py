@@ -14,7 +14,7 @@ import itertools
 from collections import Counter, defaultdict
 from functools import lru_cache
 from math import factorial
-from operator import add, itemgetter
+from operator import add
 
 from . import engine, perm
 from .qpoly import QPoly
@@ -128,7 +128,7 @@ def _closing_comaj(R: frozenset[int], n: int) -> int:
 def _step_table(R: frozenset[int],
                 n: int) -> tuple[tuple[int, tuple[tuple[frozenset[int], int], ...]], ...]:
     """(c, ((E, m), ...)): m first steps s of F_R have comaj c_R(s) = c and Des(s^{-1}) = E."""
-    _, offsets, classes, _ = _words(n)
+    _, offsets, classes = _words(n)
     tally = Counter(map(add, _step_row(engine.zero_comaj_perm(R, n)), offsets))
     by_comaj: defaultdict[int, list] = defaultdict(list)
     for key, m in tally.items():
@@ -138,25 +138,20 @@ def _step_table(R: frozenset[int],
 
 
 @lru_cache(maxsize=8)
-def _words(n: int) -> tuple[tuple[itemgetter, ...], tuple[int, ...],
-                            tuple[frozenset[int], ...], dict]:
+def _words(n: int) -> tuple[dict[bytes, int], tuple[int, ...], tuple[frozenset[int], ...]]:
     """S_n in lexicographic order, as the data a step row reads.
 
-    For each word s: an itemgetter that reads a list's ranks at the entries
-    of s, and B = ``_radix(n)`` times the index of Des(s^{-1}), the descent
-    class that a step with s leads into, in the tuple of classes that
-    follows, so that adding a comaj c < B makes one int key for (c, class).
-    Then the comaj of each word, keyed by what its getter returns from the
-    identity ranks: the word itself, or at n = 1 its one entry, since an
-    itemgetter of one index returns the item, not a 1-tuple.
+    The comaj of each word s, keyed by s as ``bytes``, which are the words
+    in order; then for each word B = ``_radix(n)`` times the index of
+    Des(s^{-1}), the descent class that a step with s leads into, in the
+    tuple of classes that follows, so that adding a comaj c < B makes one
+    int key for (c, class).
     """
-    words = tuple(perm.symmetric_group(n))
-    keys = words if n > 1 else [s[0] for s in words]
+    comajs = {bytes(s): perm.comaj(s) for s in perm.symmetric_group(n)}
     numbers: dict[frozenset[int], int] = {}
     offsets = tuple(_radix(n) * numbers.setdefault(perm.descent_set(perm.inverse(s)), len(numbers))
-                    for s in words)
-    return (tuple(itemgetter(*s) for s in words), offsets, tuple(numbers),
-            {key: perm.comaj(s) for key, s in zip(keys, words)})
+                    for s in comajs)
+    return comajs, offsets, tuple(numbers)
 
 
 def _step_row(prev: perm.Perm) -> list[int]:
@@ -164,11 +159,11 @@ def _step_row(prev: perm.Perm) -> list[int]:
 
     The sum of n - i over the positions i at which prev reads the word's
     entries i and i + 1 in the opposite order: the comaj of the word
-    relabelled by the ranks that prev gives its values.
+    relabelled by the ranks that prev gives its values, one ``bytes.translate``
+    through a table of those ranks.
     """
-    n = len(prev)
-    getters, _, _, comajs = _words(n)
-    rank = [0] * (n + 1)
+    comajs = _words(len(prev))[0]
+    rank = bytearray(256)
     for pos, v in enumerate(prev, 1):
         rank[v] = pos
-    return [comajs[get(rank)] for get in getters]
+    return [comajs[s.translate(rank)] for s in comajs]

@@ -349,11 +349,12 @@ def homogeneous_principal(m: int, trunc: Truncation) -> QPoly:
     # h_m is the sum over j <= m of h_j(non-constant monomials), which starts at degree j.
     m = min(m, trunc.D)
     hs = _homogeneous(trunc)
-    while len(hs) <= m:
-        j = len(hs)
+    # p_1..p_m read once each, not once per h_j: past 64 the p_r cache thrashes
+    ps = [power_sum_principal(r, trunc) for r in range(1, m + 1)] if len(hs) <= m else []
+    for j in range(len(hs), m + 1):
         acc = QPoly.zero(*trunc)
         for r in range(1, j + 1):
-            acc = acc + power_sum_principal(r, trunc) * hs[j - r]
+            acc = acc + ps[r - 1] * hs[j - r]
         hs.append(exact_div(acc, j))
     return hs[m]
 

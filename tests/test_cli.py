@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import comaj
-from comaj import cli
+from comaj import cli, engine
 from comaj.identities import VerificationReport
 
 RUN = [sys.executable, "-m", "comaj"]
@@ -91,6 +91,20 @@ def test_stat_json_format(capsys):
     obj = json.loads(out)
     assert obj["descent_set"] == [2]
     assert obj["total"] == sum(obj["components"])
+
+
+def test_stat_takes_one_permutation_past_nine_with_a_trailing_semicolon(capsys):
+    # one comma list with n >= 10 needs the ';' form; one empty last token is dropped
+    sigma = (2, 1, 3, 4, 5, 6, 7, 8, 9, 10)
+    rc = cli.main(["stat", "--shape", "10", "--perms", "2,1,3,4,5,6,7,8,9,10;",
+                   "--format", "json"])
+    obj = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert tuple(obj["components"]) == engine.comaj_components(frozenset(), 10, (sigma,)) == (9, 9)
+    # an empty token anywhere else is still an error
+    for text in (";2,1", "2,1;;1,2"):
+        assert cli.main(["stat", "--shape", "2", "--perms", text]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_stat_rejects_bad_permutation(capsys):

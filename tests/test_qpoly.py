@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from comaj import qpoly
 from comaj.characters import centralizer_size
 from comaj.qpoly import (
     QPoly,
@@ -274,6 +275,22 @@ def test_homogeneous_values():
     t3 = Truncation(1, 3)
     assert homogeneous_principal(900, t3) == homogeneous_principal(3, t3)
     assert len(_homogeneous(t3)) <= 4
+
+
+def test_homogeneous_reads_each_power_sum_once(monkeypatch):
+    # building h_0..h_m reads p_1..p_m once each, not p_1..p_j at every step j,
+    # so a truncation past the 64-entry power-sum cache does not thrash it
+    reads = []
+
+    def counted(r, trunc):
+        reads.append(r)
+        return power_sum_principal(r, trunc)
+
+    monkeypatch.setattr(qpoly, "power_sum_principal", counted)
+    _homogeneous.cache_clear()
+    t = Truncation(1, 100)
+    assert homogeneous_principal(100, t) == geometric_inverse(pochhammer(1, 100, t))
+    assert len(reads) <= 100
 
 
 def test_newton_recursion_consistency():
