@@ -110,8 +110,8 @@ def comaj(R, S: SeqList, sigma: Perm) -> int:
     return sum(n - i for i in _checked_positions(R, S, sigma))
 
 
-def _prepend(positions: list[int], sigma: Perm, S: SeqList) -> SeqList:
-    """Label index sigma_1 with 0, add 1 after each descent, prepend the labels."""
+def _labels(positions: list[int], sigma: Perm) -> list[int]:
+    """Label index sigma_1 with 0 and add 1 after each descent; entry j - 1 labels index j."""
     n = len(sigma)
     lab = [0] * n
     dset = set(positions)
@@ -120,7 +120,13 @@ def _prepend(positions: list[int], sigma: Perm, S: SeqList) -> SeqList:
         if i in dset:
             cur += 1
         lab[sigma[i] - 1] = cur
-    return tuple([(lab[i],) + S[i] for i in range(n)])
+    return lab
+
+
+def _prepend(positions: list[int], sigma: Perm, S: SeqList) -> SeqList:
+    """Prepend the labels of sigma's descent positions to the sequences of S."""
+    lab = _labels(positions, sigma)
+    return tuple([(lab[i],) + S[i] for i in range(len(sigma))])
 
 
 def prepend_labels(R, sigma: Perm, S: SeqList) -> SeqList:
@@ -184,8 +190,11 @@ def closed_chain_weights(R, n: int, words, steps: int):
     repeat=steps)``, each closed by the identity, and yields the exponent
     vector of each closed chain: component j is the column sum of the
     labels that step j prepends, the sum of n - i over its descent
-    positions.  Each prefix list is built once.  R and the word sizes are
-    checked once, before the walk.
+    positions.  Each prefix list is built once, and the last list not at
+    all: the identity has a descent at i when the new label of index i
+    exceeds that of i + 1, or when the two labels are equal and the
+    identity has a descent at i against the previous list.  R and the word
+    sizes are checked once, before the walk.
     """
     run = _run_ids(_check_r(R, n), n)
     words = tuple(words)
@@ -197,15 +206,26 @@ def closed_chain_weights(R, n: int, words, steps: int):
     last = identity(n)
 
     def walk(S: SeqList, weight: tuple[int, ...], depth: int):
-        if depth == steps:
-            closing = _descent_positions(run, S, last)
-            yield (*weight, n * len(closing) - sum(closing))
+        if depth == steps - 1:
+            ties = set(_descent_positions(run, S, last))
+            for sigma in words:
+                positions = _descent_positions(run, S, sigma)
+                lab = _labels(positions, sigma)
+                closing = 0
+                for i in range(1, n):
+                    a, b = lab[i - 1], lab[i]
+                    if a > b or (a == b and i in ties):
+                        closing += n - i
+                yield (*weight, n * len(positions) - sum(positions), closing)
             return
         for sigma in words:
             positions = _descent_positions(run, S, sigma)
             yield from walk(_prepend(positions, sigma, S),
                             (*weight, n * len(positions) - sum(positions)), depth + 1)
 
+    if steps == 0:
+        closing = _descent_positions(run, empty_seqlist(n), last)
+        return iter([(n * len(closing) - sum(closing),)])
     return walk(empty_seqlist(n), (), 0)
 
 

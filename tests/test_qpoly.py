@@ -342,8 +342,78 @@ def test_schur_jt_values():
     t8 = Truncation(1, 8)
     normalized = pochhammer(1, 3, t8) * schur_principal_jt((2, 1), t8)
     assert normalized == QPoly(1, 8, {(1,): 1, (2,): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partition must be nonempty"):
         schur_principal_jt((), t)
+
+
+def test_schur_jt_rejects_non_partitions():
+    # the SSYT route refuses these too; the determinant alone would give 0, -s_(2,2) and h_2
+    t = Truncation(2, 4)
+    for lam in ((1, 2), (1, 3)):
+        with pytest.raises(ValueError, match="parts must be weakly decreasing"):
+            schur_principal_jt(lam, t)
+    with pytest.raises(ValueError, match="parts must be positive integers"):
+        schur_principal_jt((2, 0), t)
+
+
+def _determinant(matrix, trunc: Truncation) -> QPoly:
+    """Cofactor expansion along the first column."""
+    size = len(matrix)
+    if size == 1:
+        return matrix[0][0]
+    acc = QPoly.zero(*trunc)
+    for i in range(size):
+        pivot = matrix[i][0]
+        if pivot.is_zero():
+            continue
+        minor = [row[1:] for j, row in enumerate(matrix) if j != i]
+        term = pivot * _determinant(minor, trunc)
+        acc = acc + term if i % 2 == 0 else acc - term
+    return acc
+
+
+def _jt_determinant(lam, trunc: Truncation) -> QPoly:
+    """det(h_{lam_i - i + j}) built as a matrix of QPolys."""
+    ell = len(lam)
+
+    def entry(i: int, j: int) -> QPoly:
+        idx = lam[i] - i + j
+        return QPoly.zero(*trunc) if idx < 0 else homogeneous_principal(idx, trunc)
+
+    return _determinant([[entry(i, j) for j in range(ell)] for i in range(ell)], trunc)
+
+
+def test_schur_jt_matches_determinant():
+    # the h-monomial expansion equals the cofactor expansion, at the exact bound and below it
+    for n in range(1, 6):
+        for k in range(1, 4):
+            bound = k * n * (n - 1) // 2
+            for D in sorted({bound, max(bound - 1, 0)}):
+                t = Truncation(k, D)
+                for lam in partitions(n):
+                    assert schur_principal_jt(lam, t) == _jt_determinant(lam, t), (lam, t)
+    t = Truncation(1, 4)
+    assert schur_principal_jt((1,) * 10, t) == _jt_determinant((1,) * 10, t)
+
+
+def test_schur_jt_multiplies_each_h_monomial_once(monkeypatch):
+    # the shapes of 4 need only h_31, h_22, h_211 and h_1111: 1 + 1 + 2 + 3 products
+    t = Truncation(3, 18)
+    _homogeneous.cache_clear()
+    qpoly._h_monomial.cache_clear()
+    homogeneous_principal(4, t)
+    products = []
+    multiply = QPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, QPoly):
+            products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", counted)
+    for lam in partitions(4):
+        schur_principal_jt(lam, t)
+    assert len(products) == 7
 
 
 def test_row_normalization_is_one():
