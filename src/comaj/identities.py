@@ -14,7 +14,7 @@ from math import factorial
 
 from . import engine, fundamental, perm
 from .characters import centralizer_size, character
-from .enumeration import fundamental_principal_series, schur_principal_by_tableaux
+from .enumeration import fundamental_principal_normalized, schur_principal_by_tableaux
 from .qpoly import (
     QPoly,
     Truncation,
@@ -22,7 +22,7 @@ from .qpoly import (
     collapse,
     exact_div,
     pochhammer,
-    pochhammer_all,
+    schur_normalized_jt,
     schur_principal_jt,
 )
 from .tableaux import Partition, hook_length_count, partition, partitions, standard_tableaux
@@ -208,7 +208,7 @@ def verify_finite_evaluation(lam: Partition, k: int,
         raise ValueError(f"need D >= {bound} for an exact comparison, got {trunc.D}")
     jt = schur_principal_jt(lam, trunc)
     ssyt = schur_principal_by_tableaux(lam, trunc)
-    normalized = pochhammer_all(n, trunc) * jt
+    normalized = schur_normalized_jt(lam, trunc)
     comaj_side = schur_comaj_polynomial(lam, k).rebound(trunc.D)
     chain_side = labeled_tableau_polynomial(lam, k).rebound(trunc.D)
     params = {"lambda": list(lam), "k": k, "D": trunc.D}
@@ -252,8 +252,7 @@ def verify_fundamental_evaluation(R, n: int, k: int,
         trunc = Truncation(k, exact_degree_bound(n, k))
     if trunc.k != k:
         raise ValueError(f"truncation has {trunc.k} variables, expected {k}")
-    series = fundamental_principal_series(R, n, trunc)
-    normalized = pochhammer_all(n, trunc) * series
+    normalized = fundamental_principal_normalized(R, n, trunc)
     formula = fundamental_comaj_polynomial(R, n, k).rebound(trunc.D)
     params = {"R": sorted(R), "n": n, "k": k, "D": trunc.D}
     return _compare(

@@ -10,6 +10,9 @@ Principal evaluations substitute every monomial in q_1..q_k for the
 alphabet of a symmetric function: the power sum p_r becomes the product
 of 1/(1 - q_i^r), the homogeneous h_m follows from Newton's identity,
 and Schur values come from the Jacobi-Trudi determinant in the h's.
+The verifier reads Schur values normalised by prod_j (q_j; q_j)_n, and
+builds them factor by factor from polynomials in one variable, so no
+power series is multiplied; divide_factors recovers the series.
 
 A product multiplies whole rows.  A row gathers the terms of one head
 (all exponents but the last) into one Python int whose W-bit slot j
@@ -31,6 +34,7 @@ import hashlib
 import json
 from collections import defaultdict
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -47,16 +51,20 @@ class Truncation(NamedTuple):
     D: int
 
 
+def checked_truncation(k: int, D: int) -> Truncation:
+    """(k, D) as a Truncation, refused as QPoly refuses it."""
+    if k < 1 or D < 0:
+        raise ValueError(f"need k >= 1 and D >= 0, got k={k}, D={D}")
+    return Truncation(k, D)
+
+
 class QPoly:
     """Immutable truncated polynomial; ``terms`` is a read-only view, so cached values stay intact."""
 
     __slots__ = ("k", "D", "_terms")
 
     def __init__(self, k: int, D: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if k < 1 or D < 0:
-            raise ValueError(f"need k >= 1 and D >= 0, got k={k}, D={D}")
-        self.k = k
-        self.D = D
+        self.k, self.D = checked_truncation(k, D)
         # Zero coefficients are dropped here and in _trusted, never by the callers.
         clean: dict[tuple[int, ...], int] = {}
         for e, c in (terms or {}).items():
@@ -304,6 +312,8 @@ def exact_div(p: QPoly, m: int) -> QPoly:
 
 def pochhammer(var_index: int, n: int, trunc: Truncation) -> QPoly:
     """(q; q)_n = (1 - q)(1 - q^2)...(1 - q^n) in the chosen variable."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     k, D = trunc
     result = QPoly.one(k, D)
     for j in range(1, n + 1):
@@ -312,35 +322,77 @@ def pochhammer(var_index: int, n: int, trunc: Truncation) -> QPoly:
     return result
 
 
-# Cache bound: `verify all --max-n 5 --max-k 3` reads it at 15 (n, truncation)
-# pairs; the value at n = 6, k = 3 holds 0.2 MB.
+def divide_factors(p: QPoly, var_index: int, cs) -> QPoly:
+    """p / prod_{c in cs} (1 - q^c) at p.D, q the chosen variable.
+
+    Along each line of that variable, the other exponents fixed, dividing
+    by 1 - q^c is a prefix sum with stride c.
+    """
+    if not 1 <= var_index <= p.k or min(cs, default=1) < 1:
+        raise ValueError(f"bad variable {var_index} or factors {cs!r}")
+    i = var_index - 1
+    lines = {}
+    for e, c in p._terms.items():
+        rest = e[:i] + e[i + 1:]
+        if rest not in lines:
+            lines[rest] = [0] * (p.D + 1 - sum(rest))
+        lines[rest][e[i]] = c
+    out = {}
+    for rest, line in lines.items():
+        for c in cs:
+            for r in range(min(c, len(line) - c)):
+                line[r::c] = accumulate(line[r::c])
+        for d, c in enumerate(line):
+            out[(*rest[:i], d, *rest[i:])] = c
+    return QPoly._trusted(p.k, p.D, out)
+
+
+# Cache bound: one (n, k) run at n <= 8 reads at most 357 factors: 255 ascent
+# factors, 66 multinomials and 36 Newton factors.  At 64 `quasi --n 7 --k 2`
+# thrashed and took 2.5 s instead of 1.0 s.
+@lru_cache(maxsize=512)
+def q_factor(m: int, cs, D: int) -> QPoly:
+    """(q; q)_m / prod_{c in cs} (1 - q^c) in one variable at degree bound D."""
+    return divide_factors(pochhammer(1, m, Truncation(1, D)), 1, cs)
+
+
+def q_factor_all(m: int, cs, trunc: Truncation) -> QPoly:
+    """prod_j (q_j; q_j)_m / prod_{c in cs} (1 - q_j^c), the outer product of q_factor."""
+    f = q_factor(m, cs, trunc.D)._terms
+    terms = {(): 1}
+    for _ in range(trunc.k):
+        terms = {(*e, d): c * g for e, c in terms.items() for (d,), g in f.items()
+                 if sum(e) + d <= trunc.D}
+    return QPoly._trusted(*trunc, terms)
+
+
+def q_multinomial(n: int, parts, trunc: Truncation) -> QPoly:
+    """prod_j [n; parts]_{q_j} = prod_j (q_j; q_j)_n / prod_i (q_j; q_j)_{parts_i}."""
+    return q_factor_all(n, tuple(c for part in sorted(parts) for c in range(1, part + 1)), trunc)
+
+
+# Cache bound: the 15 (n, truncation) pairs `verify all --max-n 5 --max-k 3`
+# read when `finite` and `quasi` multiplied by it; no verify suite reads it
+# since they normalise factor by factor.  At n = 6, k = 3 it holds 0.2 MB.
 @lru_cache(maxsize=16)
 def pochhammer_all(n: int, trunc: Truncation) -> QPoly:
     """Product of (q_i; q_i)_n over every variable."""
-    result = QPoly.one(*trunc)
-    for i in range(1, trunc.k + 1):
-        result = result * pochhammer(i, n, trunc)
-    return result
+    return q_factor_all(n, (), trunc)
 
 
-# Cache bound: `verify all --max-n 5 --max-k 3` fills 45 power sums.
+# Cache bound: above the 45 power sums `verify all --max-n 5 --max-k 3` read
+# through homogeneous_principal; no verify suite reads them since the h's
+# are normalised.
 @lru_cache(maxsize=64)
 def power_sum_principal(r: int, trunc: Truncation) -> QPoly:
     """p_r at the alphabet of all monomials: product of 1/(1 - q_i^r)."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    k, D = trunc
-    result = QPoly.one(k, D)
-    for i in range(1, k + 1):
-        geo = QPoly(
-            k, D, {tuple(d * r if j == i - 1 else 0 for j in range(k)): 1
-                   for d in range(D // r + 1)}
-        )
-        result = result * geo
-    return result
+    return q_factor_all(0, (r,), trunc)
 
 
-# Cache bound: `verify all --max-n 5 --max-k 3` reads h_m at 15 truncations.
+# Cache bound: the 15 truncations `verify all --max-n 5 --max-k 3` read; no
+# verify suite reads the plain h's since they are normalised.
 @lru_cache(maxsize=16)
 def _homogeneous(trunc: Truncation) -> list[QPoly]:
     """h_0, h_1, ... at one truncation; homogeneous_principal extends it in place."""
@@ -364,19 +416,60 @@ def homogeneous_principal(m: int, trunc: Truncation) -> QPoly:
     return hs[m]
 
 
-def schur_principal_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
-    """Schur value at the all-monomial alphabet by the Jacobi-Trudi determinant.
+# Cache bound: `verify all --max-n 5 --max-k 3` reads 15 truncations, a run
+# at one (n, k) one.
+@lru_cache(maxsize=16)
+def _normalized_hs(trunc: Truncation) -> list[QPoly]:
+    """G_0, G_1, ... with G_m = prod_j (q_j; q_j)_m h_m; _normalized_h extends it in place."""
+    return [QPoly.one(*trunc)]
 
-    det(h_{lam_i - i + j}) is expanded into integer multiples of h-monomials
-    h_mu (Macdonald, Symmetric Functions and Hall Polynomials, I.(3.4)), so
-    each distinct product of h's is multiplied once per truncation.
+
+def _normalized_h(m: int, trunc: Truncation) -> QPoly:
+    """G_m from m G_m = sum_r [prod_j C_{m,r}(q_j)] G_{m-r}.
+
+    That is Newton's identity times prod_j (q_j; q_j)_m.  The factor
+    C_{m,r} = (q; q)_m / ((q; q)_{m-r} (1 - q^r)) is a polynomial, since one
+    of m - r + 1..m is a multiple of r.  Below degree D + 1, h_m = h_D and
+    (q; q)_m = (q; q)_D for m > D, so G_m = G_D.
+    """
+    m = min(m, trunc.D)
+    gs = _normalized_hs(trunc)
+    for j in range(len(gs), m + 1):
+        terms = (q_factor_all(j, (*range(1, j - r + 1), r), trunc) * gs[j - r]
+                 for r in range(1, j + 1))
+        gs.append(exact_div(sum(terms, QPoly.zero(*trunc)), j))
+    return gs[m]
+
+
+# Cache bound: `finite` reads each shape twice, once per side; 32 holds the
+# 22 shapes of 8.
+@lru_cache(maxsize=32)
+def schur_normalized_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
+    """prod_j (q_j; q_j)_n s_lam at the all-monomial alphabet, n = |lam|, by Jacobi-Trudi.
+
+    det(h_{lam_i - i + j}) is expanded into integer multiples c_mu of
+    h-monomials h_mu (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.(3.4)), and prod_j (q_j; q_j)_n h_mu = prod_j [n; mu]_{q_j} prod_i
+    G_{mu_i}.  Every factor is a polynomial with at most b + 1 terms per
+    variable, b = n(n - 1)/2, so no series is built.
     """
     if not lam:
         raise ValueError("partition must be nonempty")
     acc = QPoly.zero(*trunc)
     for mu, c in _jacobi_trudi_terms(partition(lam)).items():
-        acc = acc + _h_monomial(mu, trunc) * c
+        term = q_multinomial(sum(mu), mu, trunc)
+        for part in mu:
+            term = term * _normalized_h(part, trunc)
+        acc = acc + term * c
     return acc
+
+
+def schur_principal_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
+    """Schur value at the all-monomial alphabet: schur_normalized_jt over prod_j (q_j; q_j)_n."""
+    p = schur_normalized_jt(lam, trunc)
+    for j in range(1, p.k + 1):
+        p = divide_factors(p, j, range(1, sum(lam) + 1))
+    return p
 
 
 def _jacobi_trudi_terms(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -400,17 +493,6 @@ def _jacobi_trudi_terms(lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
     expand(0, tuple(range(ell)), (), 1)
     return {mu: c for mu, c in coeffs.items() if c}
-
-
-# Cache bound: the h-monomials of one truncation are partitions of n, 22 of
-# them for n <= 8; at n = 6, k = 3 the 11 products hold 22 MB.
-@lru_cache(maxsize=32)
-def _h_monomial(mu: tuple[int, ...], trunc: Truncation) -> QPoly:
-    """h_{mu_1} h_{mu_2} ... at the all-monomial alphabet."""
-    result = homogeneous_principal(mu[0], trunc)
-    for m in mu[1:]:
-        result = result * homogeneous_principal(m, trunc)
-    return result
 
 
 def collapse(p: QPoly) -> QPoly:

@@ -339,6 +339,7 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     (["prop41", "--n", "3", "--r", "1", "--bound", "-1"], "need bound >= 0, got -1"),
     (["reindex", "--lambda", "2,1", "--m", "0"], "need m >= 1, got 0"),
     (["quasi", "--n", "0", "--k", "2"], "need n >= 1, got 0"),
+    (["quasi", "--n", "3", "--k", "2", "--D", "-1"], "need k >= 1 and D >= 0, got k=2, D=-1"),
     (["row", "--n", "2", "--k", "0"], "need k >= 1, got 0"),
     # an option the named suite never reads is refused, not dropped
     (["prop41", "--n", "2", "--k", "0", "--r", "1", "--bound", "1"],
@@ -367,7 +368,7 @@ def test_comaj_formula_stream_digest(capsys, argv, digest):
     # an R outside 1..n-1 is refused by the first task, before any line
     (["prop41", "--n", "5", "--r", "1", "--bound", "3", "--r-set", "9"],
      "R must be a subset of 1..4: [9]"),
-], ids=["r0", "bound-1", "m0", "n0", "k0", "prop41-k", "reindex-k", "kronecker-n-lambda",
+], ids=["r0", "bound-1", "m0", "n0", "quasi-D-1", "k0", "prop41-k", "reindex-k", "kronecker-n-lambda",
         "finite-n-lambda", "row-bound", "kronecker-D", "quasi-m", "row-r", "finite-r-set",
         "quasi-lambda", "empty-lambda", "all-max-n0", "all-max-k0",
         "prop41-n1", "all-max-n1", "prop41-r-set-outside"])

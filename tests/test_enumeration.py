@@ -7,8 +7,12 @@ import sys
 import pytest
 
 import comaj
-from comaj.enumeration import fundamental_principal_series, schur_principal_by_tableaux
-from comaj.qpoly import QPoly, Truncation, pochhammer, schur_principal_jt
+from comaj.enumeration import (
+    fundamental_principal_normalized,
+    fundamental_principal_series,
+    schur_principal_by_tableaux,
+)
+from comaj.qpoly import QPoly, Truncation, pochhammer, pochhammer_all, schur_principal_jt
 
 
 def test_all_monomials_for_single_position():
@@ -149,7 +153,34 @@ def test_cli_parser_does_not_load_dataclasses_or_inspect():
 
 
 def test_invalid_descent_positions():
-    with pytest.raises(ValueError):
-        fundamental_principal_series(frozenset({3}), 2, Truncation(1, 3))
-    with pytest.raises(ValueError):
-        fundamental_principal_series(frozenset(), 0, Truncation(1, 3))
+    for entry in (fundamental_principal_series, fundamental_principal_normalized):
+        with pytest.raises(ValueError, match="R must be a subset of 1..1"):
+            entry(frozenset({3}), 2, Truncation(1, 3))
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            entry(frozenset(), 0, Truncation(1, 3))
+
+
+def test_entries_refuse_bad_truncations():
+    # k = 0 would recurse without end, and D = -1 would give a QPoly that QPoly itself refuses
+    entries = (
+        lambda t: fundamental_principal_series(frozenset(), 2, t),
+        lambda t: fundamental_principal_normalized(frozenset(), 2, t),
+        lambda t: schur_principal_by_tableaux((2, 1), t),
+    )
+    for entry in entries:
+        for k, D in ((0, 3), (2, -1)):
+            with pytest.raises(ValueError, match=f"need k >= 1 and D >= 0, got k={k}, D={D}"):
+                entry(Truncation(k, D))
+
+
+def test_normalized_chains_match_normalized_series():
+    # every R at n <= 5 and k <= 3, at the exact bound and one below it
+    for n in range(1, 6):
+        for k in range(1, 4):
+            bound = k * n * (n - 1) // 2
+            for D in sorted({bound, max(bound - 1, 0)}):
+                t = Truncation(k, D)
+                for size in range(n):
+                    for R in itertools.combinations(range(1, n), size):
+                        expected = pochhammer_all(n, t) * fundamental_principal_series(R, n, t)
+                        assert fundamental_principal_normalized(R, n, t) == expected, (R, t)

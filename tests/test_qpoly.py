@@ -13,11 +13,14 @@ from comaj.qpoly import (
     Truncation,
     _homogeneous,
     collapse,
+    divide_factors,
     exact_div,
     homogeneous_principal,
     pochhammer,
     pochhammer_all,
     power_sum_principal,
+    q_multinomial,
+    schur_normalized_jt,
     schur_principal_jt,
 )
 from comaj.tableaux import partitions
@@ -243,6 +246,8 @@ def test_pochhammer_values():
     assert pochhammer(1, 0, t) == QPoly.one(*t)
     assert pochhammer(1, 1, t) == QPoly(1, 6, {(0,): 1, (1,): -1})
     assert pochhammer(1, 2, t) == QPoly(1, 6, {(0,): 1, (1,): -1, (2,): -1, (3,): 1})
+    with pytest.raises(ValueError, match="need n >= 0, got -3"):
+        pochhammer(1, -3, t)
 
 
 def test_power_sum_values():
@@ -384,36 +389,69 @@ def _jt_determinant(lam, trunc: Truncation) -> QPoly:
 
 
 def test_schur_jt_matches_determinant():
-    # the h-monomial expansion equals the cofactor expansion, at the exact bound and below it
+    # the normalised h-monomial expansion, divided or not, against the cofactor
+    # expansion, at the exact bound and below it
     for n in range(1, 6):
         for k in range(1, 4):
             bound = k * n * (n - 1) // 2
             for D in sorted({bound, max(bound - 1, 0)}):
                 t = Truncation(k, D)
                 for lam in partitions(n):
-                    assert schur_principal_jt(lam, t) == _jt_determinant(lam, t), (lam, t)
+                    det = _jt_determinant(lam, t)
+                    assert schur_principal_jt(lam, t) == det, (lam, t)
+                    assert schur_normalized_jt(lam, t) == pochhammer_all(n, t) * det, (lam, t)
     t = Truncation(1, 4)
     assert schur_principal_jt((1,) * 10, t) == _jt_determinant((1,) * 10, t)
 
 
-def test_schur_jt_multiplies_each_h_monomial_once(monkeypatch):
-    # the shapes of 4 need only h_31, h_22, h_211 and h_1111: 1 + 1 + 2 + 3 products
+def test_schur_jt_builds_each_normalized_h_once(monkeypatch):
+    # the five shapes of 4 share G_1..G_4 at one truncation; building G_m divides by m once
     t = Truncation(3, 18)
-    _homogeneous.cache_clear()
-    qpoly._h_monomial.cache_clear()
-    homogeneous_principal(4, t)
-    products = []
-    multiply = QPoly.__mul__
-
-    def counted(self, other):
-        if isinstance(other, QPoly):
-            products.append(other)
-        return multiply(self, other)
-
-    monkeypatch.setattr(QPoly, "__mul__", counted)
+    qpoly._normalized_hs.cache_clear()
+    schur_normalized_jt.cache_clear()
+    divisors = []
+    divide = qpoly.exact_div
+    monkeypatch.setattr(qpoly, "exact_div", lambda p, m: divisors.append(m) or divide(p, m))
     for lam in partitions(4):
         schur_principal_jt(lam, t)
-    assert len(products) == 7
+    assert divisors == [1, 2, 3, 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(qpolys(k=2, D=5), st.integers(min_value=0, max_value=4))
+def test_division_undoes_pochhammer_all(p, n):
+    t = Truncation(2, 5)
+    divided = p
+    for j in (1, 2):
+        divided = divide_factors(divided, j, range(1, n + 1))
+    assert pochhammer_all(n, t) * divided == p
+    product = pochhammer_all(n, t) * p
+    for j in (1, 2):
+        product = divide_factors(product, j, range(1, n + 1))
+    assert product == p
+
+
+def test_divide_factors_refuses_bad_arguments():
+    p = QPoly.one(2, 3)
+    for var_index, cs in ((0, (1,)), (3, (1,)), (1, (0,)), (2, (2, -1))):
+        with pytest.raises(ValueError):
+            divide_factors(p, var_index, cs)
+
+
+def test_q_multinomial_times_part_pochhammers_is_pochhammer():
+    # [n; mu]_q prod_i (q; q)_{mu_i} = (q; q)_n in every variable, also truncated
+    for n in range(1, 7):
+        for k, D in ((1, n * (n - 1) // 2), (2, n * (n - 1)), (2, 5)):
+            t = Truncation(k, D)
+            whole = QPoly.one(*t)
+            for j in range(1, k + 1):
+                whole = whole * pochhammer(j, n, t)
+            for mu in partitions(n):
+                got = q_multinomial(n, mu, t)
+                for part in mu:
+                    for j in range(1, k + 1):
+                        got = got * pochhammer(j, part, t)
+                assert got == whole, (mu, t)
 
 
 def test_row_normalization_is_one():
@@ -423,9 +461,12 @@ def test_row_normalization_is_one():
 
 
 def test_pochhammer_all_matches_factors():
-    t = Truncation(2, 5)
-    manual = pochhammer(1, 2, t) * pochhammer(2, 2, t)
-    assert pochhammer_all(2, t) == manual
+    for n in range(5):
+        for t in (Truncation(2, 5), Truncation(3, 7)):
+            manual = QPoly.one(*t)
+            for j in range(1, t.k + 1):
+                manual = manual * pochhammer(j, n, t)
+            assert pochhammer_all(n, t) == manual
 
 
 def test_collapse():
