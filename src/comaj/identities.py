@@ -31,7 +31,10 @@ Side = tuple[str, QPoly]
 
 
 class VerificationReport:
-    """One identity check; its report line is its attributes, ``vars(self)``, as canonical JSON."""
+    """One identity check; its report line is its five attributes as canonical JSON.
+
+    The five are identity, params, status, digests and counterexample.
+    """
 
     def __init__(self, identity: str, params: dict, status: str, digests: dict[str, str],
                  counterexample: dict | None = None):
@@ -47,6 +50,33 @@ class VerificationReport:
 
     def to_json_line(self) -> str:
         return canonical_json(vars(self))
+
+
+class _KeyReport(VerificationReport):
+    """One prop41 key: its own params, and the rest read from a shared verdict.
+
+    The verdict is a report without params and its line split around them
+    (see ``_split``).  ``digests`` and ``counterexample`` are fresh copies,
+    so a caller who edits them leaves the cached verdict as it was.
+    """
+
+    def __init__(self, params: dict, shared: tuple[VerificationReport, str, str]):
+        self.params = params
+        self._shared = shared
+
+    identity = property(lambda self: self._shared[0].identity)
+    status = property(lambda self: self._shared[0].status)
+    digests = property(lambda self: dict(self._shared[0].digests))
+
+    @property
+    def counterexample(self) -> dict | None:
+        found = self._shared[0].counterexample
+        return found and {name: list(value) if isinstance(value, list) else value
+                          for name, value in found.items()}
+
+    def to_json_line(self) -> str:
+        _, head, tail = self._shared
+        return head + canonical_json(self.params) + tail
 
 
 def _first_difference(a: QPoly, b: QPoly) -> dict | None:
@@ -314,9 +344,8 @@ _EMPTY = frozenset()
 
 
 @lru_cache(maxsize=_BOXES)
-def _box_buckets(R: frozenset[int], n: int, r: int,
-                 bound: int) -> dict[tuple, VerificationReport]:
-    """The verdict of the injection recursion at each reached (sigma, D).
+def _box_buckets(R: frozenset[int], n: int, r: int, bound: int) -> tuple[dict, tuple]:
+    """The verdict of the injection recursion at each reached (sigma, D), and the zero verdict.
 
     Left: (q_r; q_r)_n times the sum of q^Z over Z in (N^r)^n with reading
     order sigma and trailing descent set D.  Right: q_r^{c(D)} times the
@@ -325,7 +354,8 @@ def _box_buckets(R: frozenset[int], n: int, r: int,
     their factors have no negative degrees, so only the lists whose
     entries sum to at most bound are enumerated.  Each Z is a head row
     prepended to a tail list S, so one pass over the S builds both tables.
-    A key that no such S reaches has two zero sides.
+    A key that no such S reaches has two zero sides: it reads the zero
+    verdict, the one of two empty tables.
     """
     Rf = frozenset(R)
     perms = tuple(perm.symmetric_group(n))
@@ -347,22 +377,39 @@ def _box_buckets(R: frozenset[int], n: int, r: int,
         (sigma, D): _verdict(n, r, bound, frozenset(left.get((sigma, D), {}).items()),
                              min(sum(n - i for i in D), bound + 1), frozenset(counts.items()))
         for (sigma, D), counts in right.items()
-    }
+    }, _verdict(n, r, bound, _EMPTY, 0, _EMPTY)
 
 
 @lru_cache(maxsize=_PAIRS)
 def _verdict(n: int, r: int, bound: int, left: frozenset, c: int,
-             right: frozenset) -> VerificationReport:
+             right: frozenset) -> tuple[VerificationReport, str, str]:
     """(q_r; q_r)_n times the left counts, compared with q_r^c times the right counts.
 
     Each side is built from its own table only.  Empty tables give the
-    verdict of a key that no list reaches.  The report has no params.
+    verdict of a key that no list reaches.  The report has no params; it
+    comes split around them by ``_split``.
     """
     trunc = Truncation(r, bound)
-    return _compare("injection_recursion", None, [(
+    return _split(_compare("injection_recursion", None, [(
         ("pochhammer_times_chain_side", pochhammer(r, n, trunc) * QPoly(*trunc, dict(left))),
         ("weighted_short_side", QPoly.variable(*trunc, r, c) * QPoly(*trunc, dict(right))),
-    )])
+    )]))
+
+
+_NO_PARAMS = '"params":null'
+
+
+def _split(verdict: VerificationReport) -> tuple[VerificationReport, str, str]:
+    """The verdict, and its line before and after the params' JSON.
+
+    A report without params holds ``"params":null`` at the params' place;
+    a line that holds it anywhere else too is refused, as is one without it.
+    """
+    line = verdict.to_json_line()
+    if line.count(_NO_PARAMS) != 1:
+        raise ValueError(f"need {_NO_PARAMS} exactly once in {line}")
+    head, tail = line.split(_NO_PARAMS)
+    return verdict, head + '"params":', tail
 
 
 # Cache bound: one set per n <= 16.
@@ -383,9 +430,11 @@ def verify_injection_recursion(R, n: int, target, sigma,
     ``bound``, so only the lists whose entries sum to at most ``bound``
     are enumerated; no factor has a negative degree, so the lists left
     out cannot disturb the truncated sides.  Keys that share a side pair
-    share its verdict; each report gets its own params, digests and
-    counterexample.
+    share its verdict; each report holds its own params and reads the rest
+    from that verdict.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     if bound < 0:
@@ -397,8 +446,7 @@ def verify_injection_recursion(R, n: int, target, sigma,
         raise ValueError(f"permutation size {len(sigma)} != {n}")
     if not target <= _positions(n):
         raise ValueError(f"target must be a subset of 1..{n - 1}: {sorted(target)!r}")
-    verdict = (_box_buckets(R, n, r, bound).get((sigma, target))
-               or _verdict(n, r, bound, _EMPTY, 0, _EMPTY))
+    table, zero = _box_buckets(R, n, r, bound)
     params = {
         "R": sorted(R),
         "n": n,
@@ -407,12 +455,7 @@ def verify_injection_recursion(R, n: int, target, sigma,
         "r": r,
         "bound": bound,
     }
-    counterexample = verdict.counterexample and {
-        name: list(value) if isinstance(value, list) else value
-        for name, value in verdict.counterexample.items()
-    }
-    return VerificationReport("injection_recursion", params, verdict.status,
-                              dict(verdict.digests), counterexample)
+    return _KeyReport(params, table.get((sigma, target), zero))
 
 
 def verify_variable_reindex(lam: Partition, m: int) -> VerificationReport:

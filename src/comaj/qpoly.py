@@ -41,7 +41,9 @@ from typing import Mapping, NamedTuple
 from .tableaux import partition
 
 # The one JSON encoder of comaj's output: polynomials, report lines and --format json.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Everything it encodes is a fresh acyclic tree, so it skips the cycle check.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  check_circular=False).encode
 
 
 class Truncation(NamedTuple):

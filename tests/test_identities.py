@@ -522,6 +522,11 @@ def test_injection_recursion_driver():
     # a negative degree bound is refused before any box is built
     with pytest.raises(ValueError, match="need bound >= 0"):
         identities.verify_injection_recursion(frozenset(), 3, {1}, (2, 1, 3), 2, -1)
+    # so is n < 1, before any cache is read
+    before = identities._box_buckets.cache_info(), identities._positions.cache_info()
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        identities.verify_injection_recursion(frozenset(), 0, frozenset(), (), 1, 2)
+    assert (identities._box_buckets.cache_info(), identities._positions.cache_info()) == before
 
 
 def _two_loop_sides(R, n, r, bound):
@@ -580,20 +585,21 @@ def test_box_buckets_match_two_loop_enumeration():
         zero = QPoly.zero(r, bound)
         for R in all_subsets(n):
             expected = _two_loop_sides(R, n, r, bound)
-            got = identities._box_buckets(tuple(sorted(R)), n, r, bound)
+            got, zero_verdict = identities._box_buckets(tuple(sorted(R)), n, r, bound)
+            assert zero_verdict[0].digests == dict.fromkeys(_SIDES, _sha256(zero))
             for key in expected.keys() | got.keys():
                 sides = expected.get(key, (zero, zero))
                 if key not in got:
                     assert sides == (zero, zero), (R, n, r, bound, key)
                     continue
-                verdict = got[key]
+                verdict = got[key][0]
                 assert verdict.digests == dict(zip(_SIDES, map(_sha256, sides))), (
                     R, n, r, bound, key)
                 assert verdict.passed == (sides[0] == sides[1])
     # keys whose count tables and c(D) agree share one verdict, across every
     # R: the 16 R of the benchmark's report-heavy shape hold 1920 keys
     keys = [verdict for R in all_subsets(5)
-            for verdict in identities._box_buckets(tuple(sorted(R)), 5, 1, 3).values()]
+            for verdict in identities._box_buckets(tuple(sorted(R)), 5, 1, 3)[0].values()]
     assert len(keys) == 1920
     assert len({id(verdict) for verdict in keys}) <= 5
 
@@ -618,11 +624,16 @@ def test_shared_verdicts_match_the_per_key_comparison():
                 assert got.to_json_line() == expected.to_json_line(), (R, n, target, sigma)
 
 
+def _failing_verdict():
+    return _compare("injection_recursion", None, [
+        ((_SIDES[0], QPoly(1, 3, {(1,): 1})), (_SIDES[1], QPoly(1, 3, {(1,): 2})))])
+
+
 def test_reports_that_share_a_pair_own_their_dicts(monkeypatch):
     # two reports of one key read one cached verdict: zero or not,
     # a caller who edits the first report leaves the second one as it was
     R, n, r, bound = frozenset({1, 3}), 5, 1, 3
-    table = identities._box_buckets(R, n, r, bound)
+    table, _ = identities._box_buckets(R, n, r, bound)
     keys = [(sigma, target) for target in all_subsets(n) for sigma in perm.symmetric_group(n)]
     present = next(key for key in keys if key in table)
     missing = next(key for key in keys if key not in table)
@@ -635,11 +646,11 @@ def test_reports_that_share_a_pair_own_their_dicts(monkeypatch):
         again = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
         assert again.to_json_line() == line
     # a failing verdict gives each report its own counterexample
-    failing = _compare("injection_recursion", None, [
-        ((_SIDES[0], QPoly(1, 3, {(1,): 1})), (_SIDES[1], QPoly(1, 3, {(1,): 2})))])
+    failing = _failing_verdict()
     cached = failing.to_json_line()
+    shared = identities._split(failing)
     monkeypatch.setattr(identities, "_box_buckets",
-                        lambda *args: {((1, 2), frozenset()): failing})
+                        lambda *args: ({((1, 2), frozenset()): shared}, shared))
     first = identities.verify_injection_recursion(frozenset(), 2, frozenset(), (1, 2), 1, 3)
     assert first.counterexample == {"pair": list(_SIDES), "exponent": [1],
                                     "left": "1", "right": "2"}
@@ -653,6 +664,50 @@ def test_reports_that_share_a_pair_own_their_dicts(monkeypatch):
     assert not again.passed
     assert again.to_json_line() == line
     assert failing.to_json_line() == cached
+
+
+def _five(report):
+    return {name: getattr(report, name)
+            for name in ("identity", "params", "status", "digests", "counterexample")}
+
+
+def test_key_report_lines_are_their_five_attributes(monkeypatch):
+    # a failing verdict shared by two keys: each line is canonical JSON of
+    # that report's own five attributes, and edits reach no other line
+    failing = _failing_verdict()
+    shared = identities._split(failing)
+    cached = failing.to_json_line()
+    monkeypatch.setattr(identities, "_box_buckets", lambda *args: ({}, shared))
+    lines = []
+    for sigma in ((1, 2), (2, 1)):
+        report = identities.verify_injection_recursion(frozenset(), 2, {1}, sigma, 1, 3)
+        line = report.to_json_line()
+        assert line == canonical_json(_five(report))
+        assert json.loads(line) == _five(report)
+        assert json.loads(line)["counterexample"]["exponent"] == [1]
+        report.digests[_SIDES[0]] = "edited"
+        report.counterexample["pair"].reverse()
+        report.counterexample["left"] = "edited"
+        assert report.to_json_line() == line
+        report.params["sigma"].reverse()
+        assert report.to_json_line() == canonical_json(_five(report)) != line
+        lines.append(line)
+    assert lines[0] != lines[1]
+    assert lines == [
+        identities.verify_injection_recursion(frozenset(), 2, {1}, sigma, 1, 3).to_json_line()
+        for sigma in ((1, 2), (2, 1))]
+    assert failing.to_json_line() == cached
+    assert identities._split(failing)[1:] == shared[1:]
+
+
+def test_split_needs_null_params_once():
+    digests = {"a": "x"}
+    for params, extra in [({"n": 2}, None), (None, {"params": None})]:
+        with pytest.raises(ValueError, match="exactly once"):
+            identities._split(VerificationReport("demo", params, "fail", digests, extra))
+    _, head, tail = identities._split(VerificationReport("demo", None, "pass", digests))
+    assert head + canonical_json({"n": 2}) + tail == VerificationReport(
+        "demo", {"n": 2}, "pass", digests).to_json_line()
 
 
 def test_variable_reindex_driver():
