@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .perm import Perm, identity
+from .perm import Perm, identity, perm
 from .tableaux import StandardTableau
 
 SeqList = tuple[tuple[int, ...], ...]
@@ -145,7 +145,7 @@ def chain_steps(R, n: int, sigmas):
     positions against the current list and the list after
     ``prepend_labels``.  The step's comaj component is the sum of
     (n - i) over the positions; the last list is the closed chain.  R
-    and the permutation sizes are checked once, before the first step.
+    and the permutations are checked once, before the first step.
 
     Reading-order lemma: the list after a step with sigma has reading
     order sigma, and position i is a generalized descent of the next
@@ -156,12 +156,13 @@ def chain_steps(R, n: int, sigmas):
     empty list, in the order ``zero_comaj_perm(R)``.
     """
     run = _run_ids(_check_r(R, n), n)
-    steps = (*sigmas, identity(n))
-    for sigma in steps:
+    sigmas = tuple(sigmas)
+    for sigma in sigmas:
         if len(sigma) != n:
             raise ValueError(f"permutation size {len(sigma)} != {n}")
+        perm(sigma)
     S = empty_seqlist(n)
-    for sigma in steps:
+    for sigma in (*sigmas, identity(n)):
         positions = _descent_positions(run, S, sigma)
         S = _prepend(positions, sigma, S)
         yield positions, S
@@ -193,14 +194,15 @@ def closed_chain_weights(R, n: int, words, steps: int):
     positions.  Each prefix list is built once, and the last list not at
     all: the identity has a descent at i when the new label of index i
     exceeds that of i + 1, or when the two labels are equal and the
-    identity has a descent at i against the previous list.  R and the word
-    sizes are checked once, before the walk.
+    identity has a descent at i against the previous list.  R and the words
+    are checked once, before the walk.
     """
     run = _run_ids(_check_r(R, n), n)
     words = tuple(words)
     for sigma in words:
         if len(sigma) != n:
             raise ValueError(f"permutation size {len(sigma)} != {n}")
+        perm(sigma)
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
     last = identity(n)
@@ -303,11 +305,6 @@ class LabeledTableau(NamedTuple):
 
     base: StandardTableau
     filling: SeqList
-
-    def filled_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(
-            tuple(self.filling[v - 1] for v in row) for row in self.base.rows
-        )
 
     def weight(self, k: int) -> tuple[int, ...]:
         return seq_weight(self.filling, k)

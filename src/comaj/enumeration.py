@@ -36,7 +36,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping
 
 from .qpoly import QPoly, Truncation, checked_truncation, q_factor, q_multinomial
 from .tableaux import Partition, partition, standard_tableaux
@@ -73,11 +72,27 @@ def _checked(R, n: int, trunc: Truncation) -> tuple[tuple[int, ...], int, Trunca
 # Cache bound: `verify all --max-n 5 --max-k 3` fills 261, `quasi --n 8 --k 2` 383.
 @lru_cache(maxsize=512)
 def _chains(R: tuple[int, ...], n: int, trunc: Truncation) -> QPoly:
-    """Lex multichains of length n in N^k, k = trunc.k, strict at R; coordinate 1 pairs with q_k.
+    """Lex multichains of length n in N^k, k = trunc.k, strict at R; coordinate 1 pairs with q_k."""
+    return _cut_sum(R, n, trunc, _ascent_factor, _block_product)
 
-    The blocks of every ascent set P have k - 1 coordinates, so each P adds
-    an outer product: its factor in q_k alone times the blocks' series in
-    q_1..q_{k-1}.
+
+# Cache bound: a `quasi` run reads every class of its n at k and every (R, m),
+# m <= n, at each k' < k: 893 keys at n = 8, k = 4, 638 at n = 8, k = 3.
+@lru_cache(maxsize=1024)
+def _normalized_chains(R: tuple[int, ...], n: int, trunc: Truncation) -> QPoly:
+    """prod_j (q_j; q_j)_n times _chains(R, n, trunc); fundamental_principal_normalized's sum."""
+    return _cut_sum(R, n, trunc, _normalized_ascent, _normalized_block_product)
+
+
+def _cut_sum(R: tuple[int, ...], n: int, trunc: Truncation, ascent, blocks) -> QPoly:
+    """Sum over the ascent sets P of ascent's factor in q_k times the blocks' value.
+
+    ascent(shift, cs, D) gives the (degree, coefficient) pairs of P's
+    factor, nonzero only and in increasing degree; blocks(signature,
+    Truncation(k - 1, D)) gives the blocks' value in q_1..q_{k-1}, and
+    each P adds their outer product.  At k = 1 the blocks' elements are
+    empty tuples: their one chain counts exactly when no block has an
+    inner R.
     """
     k, D = trunc
     acc: dict[tuple[int, ...], int] = defaultdict(int)
@@ -86,9 +101,13 @@ def _chains(R: tuple[int, ...], n: int, trunc: Truncation) -> QPoly:
             shift = sum(n - i for i in P)
             if shift > D:
                 continue
-            factor = _ascent_factor(shift, (n, *(n - i for i in P)), D)
-            factor = [(d, f) for d, f in enumerate(factor) if f]
-            for e, c in _blocks(_block_signature(R, n, P), k - 1, D, _block_product).items():
+            factor = ascent(shift, (n, *(n - i for i in P)), D)
+            signature = _block_signature(R, n, P)
+            if k > 1:
+                inner = blocks(signature, Truncation(k - 1, D)).terms
+            else:
+                inner = {} if any(r for r, _ in signature) else {(): 1}
+            for e, c in inner.items():
                 room = D - sum(e)
                 for d, f in factor:
                     if d > room:
@@ -97,8 +116,8 @@ def _chains(R: tuple[int, ...], n: int, trunc: Truncation) -> QPoly:
     return QPoly._trusted(k, D, acc)
 
 
-def _ascent_factor(shift: int, cs: tuple[int, ...], D: int) -> list[int]:
-    """Coefficients of q^shift / prod_{c in cs} (1 - q^c) at degrees 0..D.
+def _ascent_factor(shift: int, cs: tuple[int, ...], D: int) -> list[tuple[int, int]]:
+    """Nonzero (degree, coefficient) pairs of q^shift / prod_{c in cs} (1 - q^c) up to D.
 
     Dividing by 1 - q^c is a prefix sum with stride c.
     """
@@ -107,7 +126,12 @@ def _ascent_factor(shift: int, cs: tuple[int, ...], D: int) -> list[int]:
     for c in cs:
         for d in range(shift + c, D + 1):
             out[d] += out[d - c]
-    return out
+    return [(d, f) for d, f in enumerate(out) if f]
+
+
+def _normalized_ascent(shift: int, cs: tuple[int, ...], D: int) -> list[tuple[int, int]]:
+    """The pairs of q^shift (q; q)_n / prod_{c in cs} (1 - q^c), n = cs[0]: a polynomial."""
+    return sorted((shift + d, f) for (d,), f in q_factor(cs[0], cs, D).terms.items())
 
 
 def _block_signature(R: tuple[int, ...], n: int, P: tuple[int, ...]):
@@ -121,17 +145,6 @@ def _block_signature(R: tuple[int, ...], n: int, P: tuple[int, ...]):
     return tuple(blocks)
 
 
-def _blocks(signature, k: int, D: int, product) -> Mapping[tuple[int, ...], int]:
-    """Terms of product(signature, Truncation(k, D)), the blocks' k-coordinate value.
-
-    At k = 0 every element is the empty tuple: the one chain of each block
-    counts exactly when its R is empty.
-    """
-    if k == 0:
-        return {} if any(R for R, _ in signature) else {(): 1}
-    return product(signature, Truncation(k, D)).terms
-
-
 # Cache bound: `verify all --max-n 5 --max-k 3` fills 536, `quasi --n 8 --k 2` 3280.
 @lru_cache(maxsize=4096)
 def _block_product(signature, trunc: Truncation) -> QPoly:
@@ -139,30 +152,6 @@ def _block_product(signature, trunc: Truncation) -> QPoly:
     (R, n), rest = signature[0], signature[1:]
     head = _chains(R, n, trunc)
     return head * _block_product(rest, trunc) if rest else head
-
-
-# Cache bound: a `quasi` run reads every class of its n at k and every (R, m),
-# m <= n, at each k' < k: 893 keys at n = 8, k = 4, 638 at n = 8, k = 3.
-@lru_cache(maxsize=1024)
-def _normalized_chains(R: tuple[int, ...], n: int, trunc: Truncation) -> QPoly:
-    """prod_j (q_j; q_j)_n times _chains(R, n, trunc); fundamental_principal_normalized's sum."""
-    k, D = trunc
-    acc: dict[tuple[int, ...], int] = defaultdict(int)
-    for size in range(n):
-        for P in combinations(range(1, n), size):
-            shift = sum(n - i for i in P)
-            if shift > D:
-                continue
-            factor = q_factor(n, (n, *(n - i for i in P)), D).terms
-            factor = sorted((shift + d, f) for (d,), f in factor.items())
-            blocks = _blocks(_block_signature(R, n, P), k - 1, D, _normalized_block_product)
-            for e, c in blocks.items():
-                room = D - sum(e)
-                for d, f in factor:
-                    if d > room:
-                        break
-                    acc[(*e, d)] += c * f
-    return QPoly._trusted(k, D, acc)
 
 
 # Cache bound: one key per signature and k' < k; a `quasi` run at n = 8 reads

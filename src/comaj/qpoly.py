@@ -443,10 +443,7 @@ def _normalized_h(m: int, trunc: Truncation) -> QPoly:
     return gs[m]
 
 
-# Cache bound: `finite` reads each shape twice, once per side; 32 holds the
-# 22 shapes of 8.
-@lru_cache(maxsize=32)
-def schur_normalized_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
+def schur_normalized_jt(lam, trunc: Truncation) -> QPoly:
     """prod_j (q_j; q_j)_n s_lam at the all-monomial alphabet, n = |lam|, by Jacobi-Trudi.
 
     det(h_{lam_i - i + j}) is expanded into integer multiples c_mu of
@@ -455,10 +452,19 @@ def schur_normalized_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
     G_{mu_i}.  Every factor is a polynomial with at most b + 1 terms per
     variable, b = n(n - 1)/2, so no series is built.
     """
+    lam = partition(lam)
     if not lam:
         raise ValueError("partition must be nonempty")
+    return _schur_normalized_jt(lam, trunc)
+
+
+# Cache bound: `finite` reads each shape twice, once per side; 32 holds the
+# 22 shapes of 8.
+@lru_cache(maxsize=32)
+def _schur_normalized_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
+    """schur_normalized_jt of a checked partition."""
     acc = QPoly.zero(*trunc)
-    for mu, c in _jacobi_trudi_terms(partition(lam)).items():
+    for mu, c in _jacobi_trudi_terms(lam).items():
         term = q_multinomial(sum(mu), mu, trunc)
         for part in mu:
             term = term * _normalized_h(part, trunc)
@@ -466,8 +472,9 @@ def schur_normalized_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
     return acc
 
 
-def schur_principal_jt(lam: tuple[int, ...], trunc: Truncation) -> QPoly:
+def schur_principal_jt(lam, trunc: Truncation) -> QPoly:
     """Schur value at the all-monomial alphabet: schur_normalized_jt over prod_j (q_j; q_j)_n."""
+    lam = partition(lam)
     p = schur_normalized_jt(lam, trunc)
     for j in range(1, p.k + 1):
         p = divide_factors(p, j, range(1, sum(lam) + 1))

@@ -361,6 +361,17 @@ def test_schur_jt_rejects_non_partitions():
         schur_principal_jt((2, 0), t)
 
 
+def test_schur_jt_accepts_a_list():
+    # a list or an iterator reads as its tuple, as on the tableaux route; the
+    # cache stays keyed by the tuple
+    t = Truncation(2, 6)
+    for entry in (schur_principal_jt, schur_normalized_jt):
+        assert entry([2, 1], t).digest() == entry((2, 1), t).digest()
+        assert entry(iter([2, 1]), t).digest() == entry((2, 1), t).digest()
+        with pytest.raises(ValueError, match="parts must be weakly decreasing"):
+            entry([1, 2], t)
+
+
 def _determinant(matrix, trunc: Truncation) -> QPoly:
     """Cofactor expansion along the first column."""
     size = len(matrix)
@@ -408,7 +419,7 @@ def test_schur_jt_builds_each_normalized_h_once(monkeypatch):
     # the five shapes of 4 share G_1..G_4 at one truncation; building G_m divides by m once
     t = Truncation(3, 18)
     qpoly._normalized_hs.cache_clear()
-    schur_normalized_jt.cache_clear()
+    qpoly._schur_normalized_jt.cache_clear()
     divisors = []
     divide = qpoly.exact_div
     monkeypatch.setattr(qpoly, "exact_div", lambda p, m: divisors.append(m) or divide(p, m))
