@@ -40,28 +40,26 @@ def empty_seqlist(n: int) -> SeqList:
 
 
 # Cache bound: one entry per (R, n) with R a subset of 1..n-1, 511 of them
-# for n <= 9.
+# for n <= 9.  An R outside 1..n-1 raises, so it is never cached.
 @lru_cache(maxsize=512)
 def _run_ids(R: frozenset[int], n: int) -> tuple[int, ...]:
-    """Run id of each index 1..n; a run breaks after index i when i not in R."""
+    """Run id of each index 1..n; a run breaks after index i when i not in R.
+
+    Every public function that reads R validates it here, once per (R, n).
+    """
+    if any(not (1 <= i <= n - 1) for i in R):
+        raise ValueError(f"R must be a subset of 1..{n - 1}: {sorted(R)!r}")
     ids = [0] * n
     for i in range(1, n):
         ids[i] = ids[i - 1] + (0 if i in R else 1)
     return tuple(ids)
 
 
-def _check_r(R, n: int) -> frozenset[int]:
-    R = frozenset(R)
-    if any(not (1 <= i <= n - 1) for i in R):
-        raise ValueError(f"R must be a subset of 1..{n - 1}: {sorted(R)!r}")
-    return R
-
-
 def are_neighbors(R, n: int, i: int, j: int) -> bool:
     """True when every index from min(i,j) to max(i,j)-1 lies in R."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices out of range 1..{n}: {(i, j)!r}")
-    run = _run_ids(_check_r(R, n), n)
+    run = _run_ids(frozenset(R), n)
     return run[i - 1] == run[j - 1]
 
 
@@ -70,8 +68,7 @@ def _check_seqs(S: SeqList, n: int) -> None:
         raise ValueError(f"expected {n} sequences, got {len(S)}")
     if not S:
         raise ValueError("need at least one sequence")
-    r = len(S[0])
-    if any(len(s) != r for s in S):
+    if len({*map(len, S)}) > 1:
         raise ValueError("sequences must share one length")
 
 
@@ -96,7 +93,7 @@ def _descent_positions(run: tuple[int, ...], S: SeqList, sigma: Perm) -> list[in
 def _checked_positions(R, S: SeqList, sigma: Perm) -> list[int]:
     n = len(sigma)
     _check_seqs(S, n)
-    return _descent_positions(_run_ids(_check_r(R, n), n), S, sigma)
+    return _descent_positions(_run_ids(frozenset(R), n), S, sigma)
 
 
 def descents(R, S: SeqList, sigma: Perm) -> frozenset[int]:
@@ -155,7 +152,7 @@ def chain_steps(R, n: int, sigmas):
     previous one, independent of R; only the first step reads the
     empty list, in the order ``zero_comaj_perm(R)``.
     """
-    run = _run_ids(_check_r(R, n), n)
+    run = _run_ids(frozenset(R), n)
     sigmas = tuple(sigmas)
     for sigma in sigmas:
         if len(sigma) != n:
@@ -197,7 +194,7 @@ def closed_chain_weights(R, n: int, words, steps: int):
     identity has a descent at i against the previous list.  R and the words
     are checked once, before the walk.
     """
-    run = _run_ids(_check_r(R, n), n)
+    run = _run_ids(frozenset(R), n)
     words = tuple(words)
     for sigma in words:
         if len(sigma) != n:
@@ -239,7 +236,7 @@ def reading_order(R, S: SeqList) -> Perm:
     """
     n = len(S)
     _check_seqs(S, n)
-    run = _run_ids(_check_r(R, n), n)
+    run = _run_ids(frozenset(R), n)
     order = sorted(range(1, n + 1), key=lambda i: (S[i - 1], run[i - 1], -i))
     return tuple(order)
 
@@ -274,11 +271,11 @@ def zero_comaj_perm(R, n: int) -> Perm:
     each run in decreasing order.  It reverses each run in place, so it is
     its own inverse, and its descent set is R.
     """
-    Rf = _check_r(R, n)
+    run = _run_ids(frozenset(R), n)
     word: list[int] = []
     start = 1
     for i in range(1, n + 1):
-        if i == n or i not in Rf:
+        if i == n or run[i] != run[i - 1]:
             word.extend(range(i, start - 1, -1))
             start = i + 1
     return tuple(word)

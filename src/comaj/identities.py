@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import factorial
 
 from . import engine, fundamental, perm
@@ -58,11 +58,25 @@ class _KeyReport(VerificationReport):
     The verdict is a report without params and its line split around them
     (see ``_split``).  ``digests`` and ``counterexample`` are fresh copies,
     so a caller who edits them leaves the cached verdict as it was.
+    ``params`` is built from the validated key when it is first read, and
+    edits to it show in the line.  Until then the params' JSON is put
+    together from cached fragments: their keys sort as R < bound < n < r <
+    sigma < target, so it is the prefix of (R, n, r, bound), the JSON of
+    sigma and the target's fragment.
     """
 
-    def __init__(self, params: dict, shared: tuple[VerificationReport, str, str]):
-        self.params = params
+    def __init__(self, key: tuple, shared: tuple[VerificationReport, str, str],
+                 sigma_json: str, target_json: str):
+        self._key = key  # (R, n, target, sigma, r, bound)
         self._shared = shared
+        self._sigma_json = sigma_json
+        self._target_json = target_json
+
+    @cached_property
+    def params(self) -> dict:
+        R, n, target, sigma, r, bound = self._key
+        return {"R": sorted(R), "n": n, "target": sorted(target), "sigma": list(sigma),
+                "r": r, "bound": bound}
 
     identity = property(lambda self: self._shared[0].identity)
     status = property(lambda self: self._shared[0].status)
@@ -76,7 +90,10 @@ class _KeyReport(VerificationReport):
 
     def to_json_line(self) -> str:
         _, head, tail = self._shared
-        return head + canonical_json(self.params) + tail
+        if "params" in self.__dict__:
+            return head + canonical_json(self.params) + tail
+        R, n, _, _, r, bound = self._key
+        return head + _params_prefix(R, n, r, bound) + self._sigma_json + self._target_json + tail
 
 
 def _first_difference(a: QPoly, b: QPoly) -> dict | None:
@@ -412,11 +429,53 @@ def _split(verdict: VerificationReport) -> tuple[VerificationReport, str, str]:
     return verdict, head + '"params":', tail
 
 
-# Cache bound: one set per n <= 16.
-@lru_cache(maxsize=16)
-def _positions(n: int) -> frozenset[int]:
-    """1..n-1, the positions a descent set can hold."""
-    return frozenset(range(1, n))
+# Cache bound: one prefix per (R, n, r, bound).  A sweep reads each in one
+# contiguous block, as it reads the bucket tables.
+@lru_cache(maxsize=_BOXES)
+def _params_prefix(R: frozenset[int], n: int, r: int, bound: int) -> str:
+    """The params' JSON up to sigma's value; R holds ints and n, r, bound are ints."""
+    return f'{{"R":{canonical_json(sorted(R))},"bound":{bound},"n":{n},"r":{r},"sigma":'
+
+
+# Cache bound: one pair of tables per n.  A sweep reads its n in increasing
+# order; 4 serve callers that interleave a few n.  At n = 6 the tables hold
+# 720 and 32 strings.
+@lru_cache(maxsize=4)
+def _key_fragments(n: int) -> tuple[dict[tuple[int, ...], str], dict[frozenset[int], str]]:
+    """Each permutation of 1..n with its JSON, and each subset of 1..n-1 with its fragment.
+
+    A target's fragment is the rest of the params' JSON: ``,"target":``,
+    its sorted entries and the closing brace.  Membership in these tables
+    is what validates sigma and the target.
+    """
+    sigmas = {sigma: canonical_json(sigma) for sigma in perm.symmetric_group(n)}
+    targets = {frozenset(combo): f',"target":{canonical_json(combo)}}}'
+               for size in range(n) for combo in itertools.combinations(range(1, n), size)}
+    return sigmas, targets
+
+
+_INT = frozenset({int})
+
+
+def _refuse(R, n, target, sigma, r, bound) -> None:
+    """Raise the first error of a refused prop41 key, in the order of the checks.
+
+    Called only when a check fails: n, r or bound not an int or too small,
+    sigma not a permutation of 1..n, the target not a subset of 1..n-1, or
+    an entry of R that is not an int.  Past the n, r and bound checks it
+    reads sigma, the target and R, so they must come as a tuple and sets.
+    """
+    for name, value, least in (("n", n, 1), ("r", r, 1), ("bound", bound, 0)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"need {name} >= {least}, got {value}")
+    perm.perm(sigma)
+    if len(sigma) != n:
+        raise ValueError(f"permutation size {len(sigma)} != {n}")
+    if any(type(i) is not int or not 1 <= i <= n - 1 for i in target):
+        raise ValueError(f"target must be a subset of 1..{n - 1}: {sorted(target)!r}")
+    raise ValueError(f"R must be a subset of 1..{n - 1}: {sorted(R)!r}")
 
 
 def verify_injection_recursion(R, n: int, target, sigma,
@@ -430,32 +489,29 @@ def verify_injection_recursion(R, n: int, target, sigma,
     ``bound``, so only the lists whose entries sum to at most ``bound``
     are enumerated; no factor has a negative degree, so the lists left
     out cannot disturb the truncated sides.  Keys that share a side pair
-    share its verdict; each report holds its own params and reads the rest
+    share its verdict; each report holds its own key and reads the rest
     from that verdict.
+
+    Every argument is checked before any cache is read: n, r and bound
+    and the entries of R, the target and sigma must be ints, since the
+    caches take 1, 1.0 and True for one key.  R's range is checked where
+    the bucket table is built.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    if bound < 0:
-        raise ValueError(f"need bound >= 0, got {bound}")
+    if not (type(n) is type(r) is type(bound) is int and n >= 1 and r >= 1 and bound >= 0):
+        _refuse(R, n, target, sigma, r, bound)
     R = frozenset(R)
     target = frozenset(target)
-    sigma = perm.perm(sigma)
-    if len(sigma) != n:
-        raise ValueError(f"permutation size {len(sigma)} != {n}")
-    if not target <= _positions(n):
-        raise ValueError(f"target must be a subset of 1..{n - 1}: {sorted(target)!r}")
+    sigma = tuple(sigma)
+    if len(sigma) != n or not _INT.issuperset(map(type, (*R, *target, *sigma))):
+        _refuse(R, n, target, sigma, r, bound)
+    sigmas, targets = _key_fragments(n)
+    sigma_json = sigmas.get(sigma)
+    target_json = targets.get(target)
+    if sigma_json is None or target_json is None:
+        _refuse(R, n, target, sigma, r, bound)
     table, zero = _box_buckets(R, n, r, bound)
-    params = {
-        "R": sorted(R),
-        "n": n,
-        "target": sorted(target),
-        "sigma": list(sigma),
-        "r": r,
-        "bound": bound,
-    }
-    return _KeyReport(params, table.get((sigma, target), zero))
+    return _KeyReport((R, n, target, sigma, r, bound), table.get((sigma, target), zero),
+                      sigma_json, target_json)
 
 
 def verify_variable_reindex(lam: Partition, m: int) -> VerificationReport:

@@ -13,9 +13,9 @@ Perm = tuple[int, ...]
 
 
 def perm(word: Iterable[int]) -> Perm:
-    """Validate a one-line word and return it as a tuple."""
+    """Validate a one-line word and return it as a tuple; every entry must be an int."""
     w = tuple(word)
-    if sorted(w) != list(range(1, len(w) + 1)):
+    if any(type(v) is not int for v in w) or sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return w
 

@@ -205,6 +205,9 @@ def test_chain_steps_validation():
             engine.comaj_components(frozenset(), 3, (word,))
     with pytest.raises(ValueError, match="permutation size 2 != 3"):
         engine.comaj_components(frozenset(), 3, ((1, 1),))
+    # entries that only compare equal to ints are refused, not tripped over
+    with pytest.raises(ValueError, match="not a permutation of 1..2"):
+        engine.comaj_components(frozenset(), 2, ((2.0, 1.0),))
 
 
 def test_closed_chain_weights_match_labeled_tableaux():
@@ -496,3 +499,22 @@ def test_run_ids_cache_holds_every_class_up_to_n9():
                     sum(i not in R for i in range(1, j)) for j in range(1, n + 1))
     info = engine._run_ids.cache_info()
     assert (info.misses, info.hits, info.currsize) == (511, 511, 511)
+
+
+def test_r_is_validated_once_per_class_and_never_cached_when_bad():
+    engine._run_ids.cache_clear()
+    S = engine.empty_seqlist(3)
+    calls = (lambda R: engine.are_neighbors(R, 3, 1, 2),
+             lambda R: engine.descents(R, S, (1, 2, 3)),
+             lambda R: engine.reading_order(R, S),
+             lambda R: engine.comaj_components(R, 3, ()),
+             lambda R: next(engine.closed_chain_weights(R, 3, [(1, 2, 3)], 1)),
+             lambda R: engine.zero_comaj_perm(R, 3))
+    for call in calls:
+        for R in ({3}, {0, 1}, [2, 5]):
+            with pytest.raises(ValueError, match=r"R must be a subset of 1\.\.2"):
+                call(R)
+        call({1})
+    # each bad R misses and raises again; the good one is cached once
+    info = engine._run_ids.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3 * len(calls) + 1, len(calls) - 1, 1)

@@ -523,10 +523,10 @@ def test_injection_recursion_driver():
     with pytest.raises(ValueError, match="need bound >= 0"):
         identities.verify_injection_recursion(frozenset(), 3, {1}, (2, 1, 3), 2, -1)
     # so is n < 1, before any cache is read
-    before = identities._box_buckets.cache_info(), identities._positions.cache_info()
+    before = identities._box_buckets.cache_info(), identities._key_fragments.cache_info()
     with pytest.raises(ValueError, match="need n >= 1, got 0"):
         identities.verify_injection_recursion(frozenset(), 0, frozenset(), (), 1, 2)
-    assert (identities._box_buckets.cache_info(), identities._positions.cache_info()) == before
+    assert (identities._box_buckets.cache_info(), identities._key_fragments.cache_info()) == before
 
 
 def _two_loop_sides(R, n, r, bound):
@@ -698,6 +698,81 @@ def test_key_report_lines_are_their_five_attributes(monkeypatch):
         for sigma in ((1, 2), (2, 1))]
     assert failing.to_json_line() == cached
     assert identities._split(failing)[1:] == shared[1:]
+
+
+def test_key_report_lines_need_no_params():
+    # every key at n <= 4 (r <= 2, bound <= 3) and at n = 5 (r = 1, bound 3):
+    # the line is built without params, and reading them leaves it as it was
+    shapes = [(n, r, bound) for n in range(1, 5) for r in (1, 2) for bound in range(4)]
+    for n, r, bound in shapes + [(5, 1, 3)]:
+        for R in all_subsets(n):
+            for target in all_subsets(n):
+                for sigma in perm.symmetric_group(n):
+                    report = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
+                    line = report.to_json_line()
+                    assert "params" not in vars(report)
+                    assert report.params == {"R": sorted(R), "n": n, "target": sorted(target),
+                                             "sigma": list(sigma), "r": r, "bound": bound}
+                    assert report.to_json_line() == line == canonical_json(_five(report))
+
+
+def test_key_report_reads_sigma_as_any_iterable():
+    R, n, target, sigma = frozenset({1, 3}), 5, frozenset({2, 4}), (3, 1, 5, 2, 4)
+    lines = {identities.verify_injection_recursion(R, n, target, word, 1, 3).to_json_line()
+             for word in (sigma, list(sigma), iter(sigma))}
+    assert len(lines) == 1
+    # R and the target may be any iterable of ints too
+    assert identities.verify_injection_recursion(
+        [3, 1], n, iter([4, 2]), sigma, 1, 3).to_json_line() in lines
+
+
+def _prop41_caches():
+    return [cache.cache_info() for cache in (identities._box_buckets, identities._key_fragments,
+                                             identities._params_prefix)]
+
+
+def test_injection_recursion_refuses_entries_that_are_not_ints():
+    # 1.0 and True compare equal to 1, so a cache would read them as 1 and
+    # print them as written: each is refused before any cache is read
+    identities.verify_injection_recursion(frozenset({1}), 3, {1}, (2, 1, 3), 1, 2)
+    bad = [
+        ((frozenset(), 2, {True}, (1.0, 2), 1, 2), "not a permutation of 1..2"),
+        ((frozenset(), 2, set(), (True, 2), 1, 2), "not a permutation of 1..2"),
+        ((frozenset({1}), 3, {1.0}, (2, 1, 3), 1, 2),
+         r"target must be a subset of 1\.\.2: \[1.0\]"),
+        ((frozenset({1}), 3, {True}, (2, 1, 3), 1, 2), "target must be a subset"),
+        ((frozenset({1.0}), 3, {1}, (2, 1, 3), 1, 2), r"R must be a subset of 1\.\.2: \[1.0\]"),
+        (({True}, 3, {1}, (2, 1, 3), 1, 2), "R must be a subset"),
+        ((frozenset({1}), 3.0, {1}, (2, 1, 3), 1, 2), "n must be an int, got 3.0"),
+        ((frozenset({1}), True, set(), (1,), 1, 2), "n must be an int, got True"),
+        ((frozenset({1}), 3, {1}, (2, 1, 3), True, 2), "r must be an int, got True"),
+        ((frozenset({1}), 3, {1}, (2, 1, 3), 1, 2.0), "bound must be an int, got 2.0"),
+    ]
+    before = _prop41_caches()
+    for args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            identities.verify_injection_recursion(*args)
+    assert _prop41_caches() == before
+
+
+def test_injection_recursion_errors_keep_their_order():
+    # sigma first, then its size, then the target, then R
+    cases = [
+        ((frozenset({3}), 3, {0}, (1, 1, 2)), "not a permutation of 1..3"),
+        ((frozenset({3}), 3, {0}, (1, 2)), "permutation size 2 != 3"),
+        ((frozenset({3}), 3, {0}, (1, 2, 3)), r"target must be a subset of 1\.\.2: \[0\]"),
+        ((frozenset({3}), 3, {1.0}, (1, 2, 3)), r"target must be a subset of 1\.\.2: \[1.0\]"),
+        ((frozenset({3}), 3, {1}, (1, 2, 3)), r"R must be a subset of 1\.\.2: \[3\]"),
+        ((frozenset({1.0, 3}), 3, {1}, (1, 2, 3)), r"R must be a subset of 1\.\.2"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            identities.verify_injection_recursion(*args, 1, 2)
+    # a sigma of the wrong size is refused before the tables of its n are built
+    before = _prop41_caches()
+    with pytest.raises(ValueError, match="permutation size 2 != 9"):
+        identities.verify_injection_recursion(frozenset(), 9, set(), (2, 1), 1, 2)
+    assert _prop41_caches() == before
 
 
 def test_split_needs_null_params_once():

@@ -75,5 +75,9 @@ def test_validation():
         pm.perm([1, 3])
     with pytest.raises(ValueError):
         pm.perm([1, 1, 2])
+    # 1.0 and True compare equal to 1, but only ints are entries
+    for word in ((1.0, 2), (True, 2), (2, 1.0), ("1",)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            pm.perm(word)
     with pytest.raises(ValueError):
         pm.compose((1, 2), (1, 2, 3))
