@@ -56,7 +56,7 @@ def fundamental_principal_normalized(R, n: int, trunc: Truncation) -> QPoly:
     blocks' (q_j; q_j)_{n_b}, which normalise the blocks' series.  Every
     factor has nonnegative degree, so the truncation is exact at any D.
     """
-    return _normalized_chains(*_checked(R, n, trunc))
+    return _cut_sum(*_checked(R, n, trunc), _normalized_ascent, _normalized_block_product)
 
 
 def _checked(R, n: int, trunc: Truncation) -> tuple[tuple[int, ...], int, Truncation]:
@@ -76,11 +76,11 @@ def _chains(R: tuple[int, ...], n: int, trunc: Truncation) -> QPoly:
     return _cut_sum(R, n, trunc, _ascent_factor, _block_product)
 
 
-# Cache bound: a `quasi` run reads every class of its n at k and every (R, m),
-# m <= n, at each k' < k: 893 keys at n = 8, k = 4, 638 at n = 8, k = 3.
+# Cache bound: only the blocks read it, at every (R, m), m <= n, and each k' < k;
+# a `quasi` run at n = 8 fills 765 keys at k = 4 and 510 at k = 3.
 @lru_cache(maxsize=1024)
 def _normalized_chains(R: tuple[int, ...], n: int, trunc: Truncation) -> QPoly:
-    """prod_j (q_j; q_j)_n times _chains(R, n, trunc); fundamental_principal_normalized's sum."""
+    """prod_j (q_j; q_j)_n times _chains(R, n, trunc); a block's value in the normalised sum."""
     return _cut_sum(R, n, trunc, _normalized_ascent, _normalized_block_product)
 
 

@@ -61,14 +61,15 @@ class _KeyReport(VerificationReport):
     ``params`` is built from the validated key when it is first read, and
     edits to it show in the line.  Until then the params' JSON is put
     together from cached fragments: their keys sort as R < bound < n < r <
-    sigma < target, so it is the prefix of (R, n, r, bound), the JSON of
-    sigma and the target's fragment.
+    sigma < target, so it is the bucket table's prefix of (R, n, r, bound),
+    the JSON of sigma and the target's fragment.
     """
 
     def __init__(self, key: tuple, shared: tuple[VerificationReport, str, str],
-                 sigma_json: str, target_json: str):
+                 prefix: str, sigma_json: str, target_json: str):
         self._key = key  # (R, n, target, sigma, r, bound)
         self._shared = shared
+        self._prefix = prefix
         self._sigma_json = sigma_json
         self._target_json = target_json
 
@@ -92,8 +93,7 @@ class _KeyReport(VerificationReport):
         _, head, tail = self._shared
         if "params" in self.__dict__:
             return head + canonical_json(self.params) + tail
-        R, n, _, _, r, bound = self._key
-        return head + _params_prefix(R, n, r, bound) + self._sigma_json + self._target_json + tail
+        return head + self._prefix + self._sigma_json + self._target_json + tail
 
 
 def _first_difference(a: QPoly, b: QPoly) -> dict | None:
@@ -361,8 +361,8 @@ _EMPTY = frozenset()
 
 
 @lru_cache(maxsize=_BOXES)
-def _box_buckets(R: frozenset[int], n: int, r: int, bound: int) -> tuple[dict, tuple]:
-    """The verdict of the injection recursion at each reached (sigma, D), and the zero verdict.
+def _box_buckets(R: frozenset[int], n: int, r: int, bound: int) -> tuple[dict, tuple, str]:
+    """Each reached (sigma, D)'s injection-recursion verdict, the zero verdict, the params' prefix.
 
     Left: (q_r; q_r)_n times the sum of q^Z over Z in (N^r)^n with reading
     order sigma and trailing descent set D.  Right: q_r^{c(D)} times the
@@ -372,7 +372,8 @@ def _box_buckets(R: frozenset[int], n: int, r: int, bound: int) -> tuple[dict, t
     entries sum to at most bound are enumerated.  Each Z is a head row
     prepended to a tail list S, so one pass over the S builds both tables.
     A key that no such S reaches has two zero sides: it reads the zero
-    verdict, the one of two empty tables.
+    verdict, the one of two empty tables.  The prefix is the params' JSON up
+    to sigma's value, built once the loops have checked R's range.
     """
     Rf = frozenset(R)
     perms = tuple(perm.symmetric_group(n))
@@ -388,13 +389,14 @@ def _box_buckets(R: frozenset[int], n: int, r: int, bound: int) -> tuple[dict, t
             Z = tuple((h, *s) for h, s in zip(head, S))
             sigma = engine.reading_order(Rf, Z)
             left[sigma, tail_descents[sigma]][engine.seq_weight(Z, r)] += 1
+    prefix = f'{{"R":{canonical_json(sorted(Rf))},"bound":{bound},"n":{n},"r":{r},"sigma":'
     # A Z's key is the key of its tail list, so the right table has every key.
     # q_r^c is zero below the bound once c > bound, so those c share a verdict.
     return {
         (sigma, D): _verdict(n, r, bound, frozenset(left.get((sigma, D), {}).items()),
                              min(sum(n - i for i in D), bound + 1), frozenset(counts.items()))
         for (sigma, D), counts in right.items()
-    }, _verdict(n, r, bound, _EMPTY, 0, _EMPTY)
+    }, _verdict(n, r, bound, _EMPTY, 0, _EMPTY), prefix
 
 
 @lru_cache(maxsize=_PAIRS)
@@ -427,14 +429,6 @@ def _split(verdict: VerificationReport) -> tuple[VerificationReport, str, str]:
         raise ValueError(f"need {_NO_PARAMS} exactly once in {line}")
     head, tail = line.split(_NO_PARAMS)
     return verdict, head + '"params":', tail
-
-
-# Cache bound: one prefix per (R, n, r, bound).  A sweep reads each in one
-# contiguous block, as it reads the bucket tables.
-@lru_cache(maxsize=_BOXES)
-def _params_prefix(R: frozenset[int], n: int, r: int, bound: int) -> str:
-    """The params' JSON up to sigma's value; R holds ints and n, r, bound are ints."""
-    return f'{{"R":{canonical_json(sorted(R))},"bound":{bound},"n":{n},"r":{r},"sigma":'
 
 
 # Cache bound: one pair of tables per n.  A sweep reads its n in increasing
@@ -509,9 +503,9 @@ def verify_injection_recursion(R, n: int, target, sigma,
     target_json = targets.get(target)
     if sigma_json is None or target_json is None:
         _refuse(R, n, target, sigma, r, bound)
-    table, zero = _box_buckets(R, n, r, bound)
+    table, zero, prefix = _box_buckets(R, n, r, bound)
     return _KeyReport((R, n, target, sigma, r, bound), table.get((sigma, target), zero),
-                      sigma_json, target_json)
+                      prefix, sigma_json, target_json)
 
 
 def verify_variable_reindex(lam: Partition, m: int) -> VerificationReport:

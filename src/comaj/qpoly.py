@@ -373,19 +373,11 @@ def q_multinomial(n: int, parts, trunc: Truncation) -> QPoly:
     return q_factor_all(n, tuple(c for part in sorted(parts) for c in range(1, part + 1)), trunc)
 
 
-# Cache bound: the 15 (n, truncation) pairs `verify all --max-n 5 --max-k 3`
-# read when `finite` and `quasi` multiplied by it; no verify suite reads it
-# since they normalise factor by factor.  At n = 6, k = 3 it holds 0.2 MB.
-@lru_cache(maxsize=16)
 def pochhammer_all(n: int, trunc: Truncation) -> QPoly:
     """Product of (q_i; q_i)_n over every variable."""
     return q_factor_all(n, (), trunc)
 
 
-# Cache bound: above the 45 power sums `verify all --max-n 5 --max-k 3` read
-# through homogeneous_principal; no verify suite reads them since the h's
-# are normalised.
-@lru_cache(maxsize=64)
 def power_sum_principal(r: int, trunc: Truncation) -> QPoly:
     """p_r at the alphabet of all monomials: product of 1/(1 - q_i^r)."""
     if r < 1:
@@ -408,7 +400,7 @@ def homogeneous_principal(m: int, trunc: Truncation) -> QPoly:
     # h_m is the sum over j <= m of h_j(non-constant monomials), which starts at degree j.
     m = min(m, trunc.D)
     hs = _homogeneous(trunc)
-    # p_1..p_m read once each, not once per h_j: past 64 the p_r cache thrashes
+    # p_1..p_m built once each, not once per h_j
     ps = [power_sum_principal(r, trunc) for r in range(1, m + 1)] if len(hs) <= m else []
     for j in range(len(hs), m + 1):
         acc = QPoly.zero(*trunc)

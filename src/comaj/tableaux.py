@@ -15,9 +15,9 @@ Partition = tuple[int, ...]
 
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Validate weak decrease and positivity, return as a tuple."""
+    """Validate weak decrease and positivity, return as a tuple; every part must be an int."""
     p = tuple(parts)
-    if not all(isinstance(x, int) and x > 0 for x in p):
+    if not all(type(x) is int and x > 0 for x in p):
         raise ValueError(f"parts must be positive integers: {p!r}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValueError(f"parts must be weakly decreasing: {p!r}")

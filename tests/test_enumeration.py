@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import comaj
+from comaj import enumeration
 from comaj.enumeration import (
     fundamental_principal_normalized,
     fundamental_principal_series,
@@ -185,3 +186,21 @@ def test_normalized_chains_match_normalized_series():
                 for R in itertools.combinations(range(1, n), size):
                     expected = pochhammer_all(n, t) * fundamental_principal_series(R, n, t)
                     assert fundamental_principal_normalized(R, n, t) == expected, (R, t)
+
+
+def test_normalized_values_asked_for_are_not_cached():
+    # only the blocks read _normalized_chains, at k' < k: a value asked for
+    # is summed directly, so no key at the call's own (n, t) is kept
+    chains = enumeration._normalized_chains
+    for n in range(1, 5):
+        classes = [R for size in range(n) for R in itertools.combinations(range(1, n), size)]
+        for k in range(1, 4):
+            t = Truncation(k, k * n * (n - 1) // 2)
+            for R in classes:
+                chains.cache_clear()
+                got = fundamental_principal_normalized(R, n, t)
+                assert got == pochhammer_all(n, t) * fundamental_principal_series(R, n, t), (R, t)
+                for other in classes:
+                    misses = chains.cache_info().misses
+                    chains(other, n, t)
+                    assert chains.cache_info().misses > misses, (R, other, t)

@@ -585,8 +585,11 @@ def test_box_buckets_match_two_loop_enumeration():
         zero = QPoly.zero(r, bound)
         for R in all_subsets(n):
             expected = _two_loop_sides(R, n, r, bound)
-            got, zero_verdict = identities._box_buckets(tuple(sorted(R)), n, r, bound)
+            got, zero_verdict, prefix = identities._box_buckets(tuple(sorted(R)), n, r, bound)
             assert zero_verdict[0].digests == dict.fromkeys(_SIDES, _sha256(zero))
+            # the params' JSON up to sigma's value
+            params = {"R": sorted(R), "n": n, "r": r, "bound": bound, "sigma": []}
+            assert prefix + "[]}" == canonical_json(params)
             for key in expected.keys() | got.keys():
                 sides = expected.get(key, (zero, zero))
                 if key not in got:
@@ -633,7 +636,7 @@ def test_reports_that_share_a_pair_own_their_dicts(monkeypatch):
     # two reports of one key read one cached verdict: zero or not,
     # a caller who edits the first report leaves the second one as it was
     R, n, r, bound = frozenset({1, 3}), 5, 1, 3
-    table, _ = identities._box_buckets(R, n, r, bound)
+    table, _, _ = identities._box_buckets(R, n, r, bound)
     keys = [(sigma, target) for target in all_subsets(n) for sigma in perm.symmetric_group(n)]
     present = next(key for key in keys if key in table)
     missing = next(key for key in keys if key not in table)
@@ -649,8 +652,9 @@ def test_reports_that_share_a_pair_own_their_dicts(monkeypatch):
     failing = _failing_verdict()
     cached = failing.to_json_line()
     shared = identities._split(failing)
+    prefix = '{"R":[],"bound":3,"n":2,"r":1,"sigma":'
     monkeypatch.setattr(identities, "_box_buckets",
-                        lambda *args: ({((1, 2), frozenset()): shared}, shared))
+                        lambda *args: ({((1, 2), frozenset()): shared}, shared, prefix))
     first = identities.verify_injection_recursion(frozenset(), 2, frozenset(), (1, 2), 1, 3)
     assert first.counterexample == {"pair": list(_SIDES), "exponent": [1],
                                     "left": "1", "right": "2"}
@@ -677,7 +681,8 @@ def test_key_report_lines_are_their_five_attributes(monkeypatch):
     failing = _failing_verdict()
     shared = identities._split(failing)
     cached = failing.to_json_line()
-    monkeypatch.setattr(identities, "_box_buckets", lambda *args: ({}, shared))
+    prefix = '{"R":[],"bound":3,"n":2,"r":1,"sigma":'
+    monkeypatch.setattr(identities, "_box_buckets", lambda *args: ({}, shared, prefix))
     lines = []
     for sigma in ((1, 2), (2, 1)):
         report = identities.verify_injection_recursion(frozenset(), 2, {1}, sigma, 1, 3)
@@ -727,8 +732,7 @@ def test_key_report_reads_sigma_as_any_iterable():
 
 
 def _prop41_caches():
-    return [cache.cache_info() for cache in (identities._box_buckets, identities._key_fragments,
-                                             identities._params_prefix)]
+    return [cache.cache_info() for cache in (identities._box_buckets, identities._key_fragments)]
 
 
 def test_injection_recursion_refuses_entries_that_are_not_ints():

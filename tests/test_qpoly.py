@@ -283,8 +283,7 @@ def test_homogeneous_values():
 
 
 def test_homogeneous_reads_each_power_sum_once(monkeypatch):
-    # building h_0..h_m reads p_1..p_m once each, not p_1..p_j at every step j,
-    # so a truncation past the 64-entry power-sum cache does not thrash it
+    # building h_0..h_m reads p_1..p_m once each, not p_1..p_j at every step j
     reads = []
 
     def counted(r, trunc):

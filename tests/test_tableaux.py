@@ -78,6 +78,11 @@ def test_partition_validation():
         partition((1, 2))
     with pytest.raises(ValueError):
         partition((2, 0))
+    # True equals 1, so the caches keyed by shape would read (2, True) as (2, 1)
+    # and the reports would print it as [2,true]: every part must be an int
+    for parts in [(2, True), (True,), (2.0, 1)]:
+        with pytest.raises(ValueError, match="parts must be positive integers"):
+            partition(parts)
 
 
 def test_tableau_validation():
