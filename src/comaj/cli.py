@@ -257,9 +257,7 @@ def _lams(args) -> list[tuple[int, ...]]:
 
 
 def _rsets(args, n: int) -> list[frozenset[int]]:
-    if args.r_set is not None:
-        return [parse_set_arg(args.r_set)]
-    return list(_all_subsets(n))
+    return list(_all_subsets(n)) if args.r_set is None else [parse_set_arg(args.r_set)]
 
 
 PROP41_BOUND = 4  # prop41's entry bound when --bound is not given
@@ -297,6 +295,12 @@ SUITES = {
         for m in ([a.m] if a.m is not None else range(1, max(a.max_k, 2)))
     )),
 }
+
+
+def _block_key(task):
+    """A pool block's key: a prop41 task's bucket table (R, n, r, bound), else a key of its own."""
+    return task[1][:2] + task[1][4:] if task[0] == "verify_injection_recursion" else object()
+
 
 # Each verify option without a default, by its attribute name: (flag, type, help).
 _OPTIONS = {"lambda_": ("--lambda", None, None), "n": ("--n", int, None), "k": ("--k", int, None),
@@ -343,9 +347,10 @@ def _run_verify_task(task) -> tuple[bool, str]:
     return report.passed, report.to_json_line()
 
 
-# The most tasks in one pool chunk.  A larger chunk holds more tasks and lines
-# in memory; a smaller one splits more prop41 bucket tables between workers.
-_CHUNK = 4096
+def _run_block(tasks) -> tuple[bool, str]:
+    """Whether every report of the block passed, and their lines joined by newlines."""
+    oks, lines = zip(*map(_run_verify_task, tasks))
+    return all(oks), "\n".join(lines)
 
 
 def cmd_verify(args, out) -> int:
@@ -353,19 +358,17 @@ def cmd_verify(args, out) -> int:
     _positive("max-n", args.max_n)
     _positive("max-k", args.max_k)
     workers = min(_positive("jobs", args.jobs), os.cpu_count() or 1)
-    if workers > 1:  # a pool's chunk size needs the task count: count a second, discarded stream
-        count = sum(1 for _ in _verify_tasks(args))
-        workers = min(workers, count)
     tasks = _verify_tasks(args)
     passed = True
     with contextlib.ExitStack() as stack:
         results = map(_run_verify_task, tasks)
         if workers > 1:
+            blocks = (list(group) for _, group in itertools.groupby(tasks, _block_key))
+            head = list(itertools.islice(blocks, workers))  # no more workers than blocks
             from multiprocessing import Pool  # imported here: only a pool needs it
-            pool = stack.enter_context(Pool(workers))
-            # imap draws the tasks lazily and yields the results in task order
-            chunk = max(1, min(count // (4 * workers), _CHUNK))
-            results = pool.imap(_run_verify_task, tasks, chunksize=chunk)
+            pool = stack.enter_context(Pool(len(head)))
+            # imap draws the blocks lazily and yields each block's lines in task order
+            results = pool.imap(_run_block, itertools.chain(head, blocks))
         for ok, line in results:
             _emit(line + "\n", out)
             passed = passed and ok

@@ -134,6 +134,16 @@ def prepend_labels(R, sigma: Perm, S: SeqList) -> SeqList:
     return _prepend(_checked_positions(R, S, sigma), sigma, S)
 
 
+def _checked_words(words, n: int) -> tuple:
+    """The words as a tuple, once each is a permutation of 1..n."""
+    words = tuple(words)
+    for sigma in words:
+        if len(sigma) != n:
+            raise ValueError(f"permutation size {len(sigma)} != {n}")
+        perm(sigma)
+    return words
+
+
 def chain_steps(R, n: int, sigmas):
     """The steps of the label chain closed by the identity, as they are taken.
 
@@ -153,11 +163,7 @@ def chain_steps(R, n: int, sigmas):
     empty list, in the order ``zero_comaj_perm(R)``.
     """
     run = _run_ids(frozenset(R), n)
-    sigmas = tuple(sigmas)
-    for sigma in sigmas:
-        if len(sigma) != n:
-            raise ValueError(f"permutation size {len(sigma)} != {n}")
-        perm(sigma)
+    sigmas = _checked_words(sigmas, n)
     S = empty_seqlist(n)
     for sigma in (*sigmas, identity(n)):
         positions = _descent_positions(run, S, sigma)
@@ -195,11 +201,7 @@ def closed_chain_weights(R, n: int, words, steps: int):
     are checked once, before the walk.
     """
     run = _run_ids(frozenset(R), n)
-    words = tuple(words)
-    for sigma in words:
-        if len(sigma) != n:
-            raise ValueError(f"permutation size {len(sigma)} != {n}")
-        perm(sigma)
+    words = _checked_words(words, n)
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
     last = identity(n)

@@ -241,16 +241,40 @@ def _class_series(n: int, k: int) -> tuple[tuple[Partition, QPoly], ...]:
     return tuple(table)
 
 
+_INT = frozenset({int})
+
+
+def _ints(*checks) -> None:
+    """Raise unless each (name, value, least) holds an int, and one no less than least if given.
+
+    The type is checked before any cache is read, since a cache takes 1,
+    1.0 and True for one key.
+    """
+    for name, value, least in checks:
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"need {name} >= {least}, got {value}")
+
+
+def _truncation(trunc: Truncation | None, k: int, bound: int) -> Truncation:
+    """The given truncation, which must have k variables and an int D, or (k, bound)."""
+    if trunc is None:
+        return Truncation(k, bound)
+    _ints(("D", trunc.D, None))
+    if type(trunc.k) is not int or trunc.k != k:
+        raise ValueError(f"truncation has {trunc.k!r} variables, expected {k}")
+    return trunc
+
+
 def verify_finite_evaluation(lam: Partition, k: int,
                              trunc: Truncation | None = None) -> VerificationReport:
     """Four-way check of the finite Schur principal evaluation."""
     lam = partition(lam)
+    _ints(("k", k, None))
     n = sum(lam)
     bound = exact_degree_bound(n, k)
-    if trunc is None:
-        trunc = Truncation(k, bound)
-    if trunc.k != k:
-        raise ValueError(f"truncation has {trunc.k} variables, expected {k}")
+    trunc = _truncation(trunc, k, bound)
     if trunc.D < bound:
         raise ValueError(f"need D >= {bound} for an exact comparison, got {trunc.D}")
     jt = schur_principal_jt(lam, trunc)
@@ -273,6 +297,7 @@ def verify_finite_evaluation(lam: Partition, k: int,
 def verify_kronecker_multiplicity(lam: Partition, k: int) -> VerificationReport:
     """Comaj path against the character oracle, plus the dimension count."""
     lam = partition(lam)
+    _ints(("k", k, None))
     n = sum(lam)
     comaj_side = graded_multiplicity_comaj(lam, k)
     character_side = graded_multiplicity_character(lam, k)
@@ -295,10 +320,10 @@ def verify_kronecker_multiplicity(lam: Partition, k: int) -> VerificationReport:
 def verify_fundamental_evaluation(R, n: int, k: int,
                                   trunc: Truncation | None = None) -> VerificationReport:
     """Pochhammer-normalized chain enumeration against the comaj formula."""
-    if trunc is None:
-        trunc = Truncation(k, exact_degree_bound(n, k))
-    if trunc.k != k:
-        raise ValueError(f"truncation has {trunc.k} variables, expected {k}")
+    _ints(("n", n, None), ("k", k, None))
+    if not _INT.issuperset(map(type, R)):
+        raise ValueError(f"R must be a subset of 1..{n - 1}: {sorted(R)!r}")
+    trunc = _truncation(trunc, k, exact_degree_bound(n, k))
     normalized = fundamental_principal_normalized(R, n, trunc)
     formula = fundamental_comaj_polynomial(R, n, k).rebound(trunc.D)
     params = {"R": sorted(R), "n": n, "k": k, "D": trunc.D}
@@ -316,6 +341,7 @@ def _closing(n: int, sigmas) -> tuple[int, ...]:
 
 def verify_row_case(n: int, k: int) -> VerificationReport:
     """Single-row shape: the comaj formula equals the product-one enumeration."""
+    _ints(("n", n, None), ("k", k, None))
     lhs = schur_comaj_polynomial((n,), k)
     rhs = _tally(n, k, (
         tuple(perm.comaj(sigma) for sigma in (*sigmas, _closing(n, sigmas)))
@@ -448,9 +474,6 @@ def _key_fragments(n: int) -> tuple[dict[tuple[int, ...], str], dict[frozenset[i
     return sigmas, targets
 
 
-_INT = frozenset({int})
-
-
 def _refuse(R, n, target, sigma, r, bound) -> None:
     """Raise the first error of a refused prop41 key, in the order of the checks.
 
@@ -459,11 +482,7 @@ def _refuse(R, n, target, sigma, r, bound) -> None:
     an entry of R that is not an int.  Past the n, r and bound checks it
     reads sigma, the target and R, so they must come as a tuple and sets.
     """
-    for name, value, least in (("n", n, 1), ("r", r, 1), ("bound", bound, 0)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if value < least:
-            raise ValueError(f"need {name} >= {least}, got {value}")
+    _ints(("n", n, 1), ("r", r, 1), ("bound", bound, 0))
     perm.perm(sigma)
     if len(sigma) != n:
         raise ValueError(f"permutation size {len(sigma)} != {n}")
@@ -511,8 +530,7 @@ def verify_injection_recursion(R, n: int, target, sigma,
 def verify_variable_reindex(lam: Partition, m: int) -> VerificationReport:
     """Adding a variable and deleting it again reaches the reversed m-variable value."""
     lam = partition(lam)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    _ints(("m", m, 1))
     n = sum(lam)
     big_bound = exact_degree_bound(n, m + 1)
     small = schur_comaj_polynomial(lam, m)

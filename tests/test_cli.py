@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -493,9 +494,10 @@ def test_byte_identical_reruns():
 
 @pytest.fixture
 def fake_pool(monkeypatch):
-    """Each pool started: its size, the tasks it is handed and its chunk size.
+    """Each pool started: its size, the items it is handed, its chunk size and the items drawn.
 
-    The fake pool runs the tasks inline.
+    The fake pool runs the items inline, each after the pickle round trip a
+    real pool makes.
     """
     started = []
 
@@ -509,9 +511,15 @@ def fake_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, tasks, chunksize=1):
-            started.append((self.processes, tasks, chunksize))
-            return map(fn, tasks)
+        def imap(self, fn, items, chunksize=1):
+            drawn = []
+            started.append((self.processes, items, chunksize, drawn))
+
+            def draw():
+                for item in items:
+                    drawn.append(item)
+                    yield pickle.loads(pickle.dumps(item))
+            return map(pickle.loads(pickle.dumps(fn)), draw())
 
     monkeypatch.setattr("multiprocessing.Pool", FakePool)
     return started
@@ -543,18 +551,39 @@ def test_jobs_capped_by_cpus_and_tasks(capsys, monkeypatch, fake_pool):
     assert fake_pool == []
 
 
-@pytest.mark.parametrize("argv, count, chunk", [
+@pytest.mark.parametrize("argv, blocks, size", [
     (["row", "--max-n", "2", "--max-k", "2"], 4, 1),
-    (["prop41", "--n", "6", "--r-set", "1,3", "--bound", "0"], 46080, cli._CHUNK),
+    (["prop41", "--n", "6", "--r-set", "1,3", "--bound", "0"], 2, 23040),
 ], ids=["row", "prop41-n6"])
-def test_pool_is_handed_a_task_stream(capsys, monkeypatch, fake_pool, argv, count, chunk):
-    # the pool draws its tasks from an iterator, in chunks of at most _CHUNK tasks
+def test_pool_is_handed_a_task_stream(capsys, monkeypatch, fake_pool, argv, blocks, size):
+    # the pool draws from an iterator one block at a time: the tasks that share
+    # a prop41 bucket table, (R, n, r, bound), or one task of any other suite
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     assert cli.main(["verify", *argv, "--jobs", "2"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == count
-    [(workers, tasks, size)] = fake_pool
-    assert workers == 2 and size == chunk
-    assert not isinstance(tasks, list) and iter(tasks) is tasks
+    assert len(capsys.readouterr().out.splitlines()) == blocks * size
+    [(workers, items, chunk, drawn)] = fake_pool
+    assert workers == 2 and chunk == 1
+    assert not isinstance(items, list) and iter(items) is items
+    assert [len(block) for block in drawn] == [size] * blocks
+    if argv[0] == "prop41":
+        assert [{cli._block_key(task) for task in block} for block in drawn] == [
+            {(frozenset({1, 3}), 6, r, 0)} for r in (1, 2)]
+
+
+def test_pool_blocks_follow_the_stream(capsys, monkeypatch, fake_pool):
+    # one block per (R, r) in stream order, and the same bytes as one worker
+    argv = ["verify", "prop41", "--n", "4", "--bound", "2", "--jobs"]
+    assert cli.main([*argv, "1"]) == 0
+    alone = capsys.readouterr().out
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli.main([*argv, "2"]) == 0
+    assert capsys.readouterr().out == alone
+    [(workers, _, _, drawn)] = fake_pool
+    assert workers == 2 and [len(block) for block in drawn] == [192] * 16
+    assert [task for block in drawn for task in block] == list(cli._verify_tasks(
+        cli.build_parser().parse_args([*argv, "1"])))
+    assert [{cli._block_key(task) for task in block} for block in drawn] == [
+        {(R, 4, r, 2)} for r in (1, 2) for R in cli._all_subsets(4)]
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from comaj import engine, fundamental, identities, perm
+from comaj import characters, engine, enumeration, fundamental, identities, perm, qpoly, tableaux
 from comaj.identities import VerificationReport, _compare, _first_difference
 from comaj.characters import centralizer_size, character
 from comaj.qpoly import QPoly, Truncation, canonical_json, collapse, exact_div, pochhammer
@@ -757,6 +757,45 @@ def test_injection_recursion_refuses_entries_that_are_not_ints():
         with pytest.raises(ValueError, match=message):
             identities.verify_injection_recursion(*args)
     assert _prop41_caches() == before
+
+
+def _all_caches():
+    return {(module.__name__, name): fn.cache_info()
+            for module in (characters, engine, enumeration, fundamental, identities, qpoly, tableaux)
+            for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
+
+
+_NOT_INTS = [
+    ("quasi-k", "k", lambda bad: identities.verify_fundamental_evaluation((), 2, bad)),
+    ("quasi-n", "n", lambda bad: identities.verify_fundamental_evaluation((), bad, 2)),
+    ("quasi-D", "D", lambda bad: identities.verify_fundamental_evaluation(
+        (), 2, 2, Truncation(2, bad))),
+    ("quasi-R", "R", lambda bad: identities.verify_fundamental_evaluation({bad}, 3, 2)),
+    ("kronecker-k", "k", lambda bad: identities.verify_kronecker_multiplicity((2, 1), bad)),
+    ("row-k", "k", lambda bad: identities.verify_row_case(2, bad)),
+    ("row-n", "n", lambda bad: identities.verify_row_case(bad, 2)),
+    ("finite-k", "k", lambda bad: identities.verify_finite_evaluation((2, 1), bad)),
+    ("finite-D", "D", lambda bad: identities.verify_finite_evaluation(
+        (1,), 1, Truncation(1, bad))),
+    ("finite-trunc-k", "truncation", lambda bad: identities.verify_finite_evaluation(
+        (1,), 1, Truncation(bad, 1))),
+    ("reindex-m", "m", lambda bad: identities.verify_variable_reindex((2, 1), bad)),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["True", "float"])
+@pytest.mark.parametrize("name, call", [case[1:] for case in _NOT_INTS],
+                         ids=[case[0] for case in _NOT_INTS])
+def test_verify_entries_refuse_values_that_are_not_ints(name, call, bad):
+    # as prop41 does: a cache would read True and 2.0 as 1 and 2 and the
+    # report would print them as written, so each is refused before any cache is read
+    message = {"R": rf"R must be a subset of 1\.\.2: \[{bad!r}\]",
+               "truncation": f"truncation has {bad!r} variables, expected 1"}.get(
+                   name, f"{name} must be an int, got {bad!r}")
+    before = _all_caches()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(bad)
+    assert _all_caches() == before
 
 
 def test_injection_recursion_errors_keep_their_order():
