@@ -32,9 +32,9 @@ def character(lam: Partition, mu: Partition) -> int:
     return _chi(lam, mu)
 
 
-# Cache bound: every (lam, mu) that character(lam, mu) reaches for lam, mu |- n <= 8,
-# recursive calls included, is 919 keys.
-@lru_cache(maxsize=1024)
+# Cache bound: character(lam, mu) over every lam, mu |- 9 reaches 1141 keys,
+# recursive calls included, and over every lam, mu |- n <= 9 it reaches 1819.
+@lru_cache(maxsize=2048)
 def _chi(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     if not mu:
         return 1

@@ -365,10 +365,13 @@ def cmd_verify(args, out) -> int:
         if workers > 1:
             blocks = (list(group) for _, group in itertools.groupby(tasks, _block_key))
             head = list(itertools.islice(blocks, workers))  # no more workers than blocks
-            from multiprocessing import Pool  # imported here: only a pool needs it
-            pool = stack.enter_context(Pool(len(head)))
-            # imap draws the blocks lazily and yields each block's lines in task order
-            results = pool.imap(_run_block, itertools.chain(head, blocks))
+            if len(head) == 1:  # a lone block runs here, as under --jobs 1
+                results = map(_run_verify_task, head[0])
+            else:
+                from multiprocessing import Pool  # imported here: only a pool needs it
+                pool = stack.enter_context(Pool(len(head)))
+                # imap draws the blocks lazily and yields each block's lines in task order
+                results = pool.imap(_run_block, itertools.chain(head, blocks))
         for ok, line in results:
             _emit(line + "\n", out)
             passed = passed and ok

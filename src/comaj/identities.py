@@ -8,8 +8,9 @@ differing monomial together with both coefficients.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter, defaultdict
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from math import factorial
 
 from . import engine, fundamental, perm
@@ -31,69 +32,38 @@ Side = tuple[str, QPoly]
 
 
 class VerificationReport:
-    """One identity check; its report line is its five attributes as canonical JSON.
+    """One identity check: whether it passed, and its report line.
 
-    The five are identity, params, status, digests and counterexample.
+    The line is the canonical JSON of five fields, identity, params,
+    status, digests and counterexample, encoded once when the report is
+    built.  Each field is decoded from the line whenever it is read, so
+    every read is a fresh value and no edit reaches the line.
     """
 
-    def __init__(self, identity: str, params: dict, status: str, digests: dict[str, str],
-                 counterexample: dict | None = None):
-        self.identity = identity
-        self.params = params
-        self.status = status  # "pass" | "fail"
-        self.digests = digests
-        self.counterexample = counterexample
+    __slots__ = ("passed", "_line")
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
+    def __init__(self, identity: str, params: dict | None, status: str,
+                 digests: dict[str, str], counterexample: dict | None = None):
+        self.passed = status == "pass"  # status is "pass" or "fail"
+        self._line = canonical_json({"identity": identity, "params": params, "status": status,
+                                     "digests": digests, "counterexample": counterexample})
 
-    def to_json_line(self) -> str:
-        return canonical_json(vars(self))
-
-
-class _KeyReport(VerificationReport):
-    """One prop41 key: its own params, and the rest read from a shared verdict.
-
-    The verdict is a report without params and its line split around them
-    (see ``_split``).  ``digests`` and ``counterexample`` are fresh copies,
-    so a caller who edits them leaves the cached verdict as it was.
-    ``params`` is built from the validated key when it is first read, and
-    edits to it show in the line.  Until then the params' JSON is put
-    together from cached fragments: their keys sort as R < bound < n < r <
-    sigma < target, so it is the bucket table's prefix of (R, n, r, bound),
-    the JSON of sigma and the target's fragment.
-    """
-
-    def __init__(self, key: tuple, shared: tuple[VerificationReport, str, str],
-                 prefix: str, sigma_json: str, target_json: str):
-        self._key = key  # (R, n, target, sigma, r, bound)
-        self._shared = shared
-        self._prefix = prefix
-        self._sigma_json = sigma_json
-        self._target_json = target_json
-
-    @cached_property
-    def params(self) -> dict:
-        R, n, target, sigma, r, bound = self._key
-        return {"R": sorted(R), "n": n, "target": sorted(target), "sigma": list(sigma),
-                "r": r, "bound": bound}
-
-    identity = property(lambda self: self._shared[0].identity)
-    status = property(lambda self: self._shared[0].status)
-    digests = property(lambda self: dict(self._shared[0].digests))
-
-    @property
-    def counterexample(self) -> dict | None:
-        found = self._shared[0].counterexample
-        return found and {name: list(value) if isinstance(value, list) else value
-                          for name, value in found.items()}
+    @classmethod
+    def from_line(cls, passed: bool, line: str) -> VerificationReport:
+        """A report from a line already in canonical JSON; ``passed`` must match its status."""
+        report = object.__new__(cls)
+        report.passed = passed
+        report._line = line
+        return report
 
     def to_json_line(self) -> str:
-        _, head, tail = self._shared
-        if "params" in self.__dict__:
-            return head + canonical_json(self.params) + tail
-        return head + self._prefix + self._sigma_json + self._target_json + tail
+        return self._line
+
+    identity = property(lambda self: json.loads(self._line)["identity"])
+    params = property(lambda self: json.loads(self._line)["params"])
+    status = property(lambda self: json.loads(self._line)["status"])
+    digests = property(lambda self: json.loads(self._line)["digests"])
+    counterexample = property(lambda self: json.loads(self._line)["counterexample"])
 
 
 def _first_difference(a: QPoly, b: QPoly) -> dict | None:
@@ -427,12 +397,12 @@ def _box_buckets(R: frozenset[int], n: int, r: int, bound: int) -> tuple[dict, t
 
 @lru_cache(maxsize=_PAIRS)
 def _verdict(n: int, r: int, bound: int, left: frozenset, c: int,
-             right: frozenset) -> tuple[VerificationReport, str, str]:
+             right: frozenset) -> tuple[bool, str, str]:
     """(q_r; q_r)_n times the left counts, compared with q_r^c times the right counts.
 
     Each side is built from its own table only.  Empty tables give the
-    verdict of a key that no list reaches.  The report has no params; it
-    comes split around them by ``_split``.
+    verdict of a key that no list reaches.  The verdict's report has no
+    params, and ``_split`` cuts its line around them.
     """
     trunc = Truncation(r, bound)
     return _split(_compare("injection_recursion", None, [(
@@ -444,8 +414,8 @@ def _verdict(n: int, r: int, bound: int, left: frozenset, c: int,
 _NO_PARAMS = '"params":null'
 
 
-def _split(verdict: VerificationReport) -> tuple[VerificationReport, str, str]:
-    """The verdict, and its line before and after the params' JSON.
+def _split(verdict: VerificationReport) -> tuple[bool, str, str]:
+    """Whether the verdict passed, and its line before and after the params' JSON.
 
     A report without params holds ``"params":null`` at the params' place;
     a line that holds it anywhere else too is refused, as is one without it.
@@ -454,7 +424,7 @@ def _split(verdict: VerificationReport) -> tuple[VerificationReport, str, str]:
     if line.count(_NO_PARAMS) != 1:
         raise ValueError(f"need {_NO_PARAMS} exactly once in {line}")
     head, tail = line.split(_NO_PARAMS)
-    return verdict, head + '"params":', tail
+    return verdict.passed, head + '"params":', tail
 
 
 # Cache bound: one pair of tables per n.  A sweep reads its n in increasing
@@ -502,8 +472,10 @@ def verify_injection_recursion(R, n: int, target, sigma,
     ``bound``, so only the lists whose entries sum to at most ``bound``
     are enumerated; no factor has a negative degree, so the lists left
     out cannot disturb the truncated sides.  Keys that share a side pair
-    share its verdict; each report holds its own key and reads the rest
-    from that verdict.
+    share its verdict, and a report's line is that verdict's line with the
+    key's params put in.  The params' keys sort as R < bound < n < r <
+    sigma < target, so their JSON is the bucket table's prefix, sigma's
+    JSON and the target's fragment: no encoder runs per report.
 
     Every argument is checked before any cache is read: n, r and bound
     and the entries of R, the target and sigma must be ints, since the
@@ -523,8 +495,8 @@ def verify_injection_recursion(R, n: int, target, sigma,
     if sigma_json is None or target_json is None:
         _refuse(R, n, target, sigma, r, bound)
     table, zero, prefix = _box_buckets(R, n, r, bound)
-    return _KeyReport((R, n, target, sigma, r, bound), table.get((sigma, target), zero),
-                      prefix, sigma_json, target_json)
+    passed, head, tail = table.get((sigma, target), zero)
+    return VerificationReport.from_line(passed, head + prefix + sigma_json + target_json + tail)
 
 
 def verify_variable_reindex(lam: Partition, m: int) -> VerificationReport:

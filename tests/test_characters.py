@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from comaj import characters
 from comaj.characters import centralizer_size, character
 from comaj.tableaux import hook_length_count, partitions
 
@@ -75,3 +76,16 @@ def test_centralizer_sizes_partition_group_order():
 def test_size_mismatch_error():
     with pytest.raises(ValueError):
         character((2, 1), (2, 2))
+
+
+def test_character_cache_keeps_every_pair_through_n9():
+    # every (lam, mu) |- 9 reaches 1141 keys, recursive calls included, and
+    # every n <= 9 reaches 1819: each key is computed once, so none was evicted
+    characters._chi.cache_clear()
+    for sizes, keys in [((9,), 1141), (range(1, 9), 1819)]:
+        for n in sizes:
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    character(lam, mu)
+        info = characters._chi.cache_info()
+        assert info.misses == info.currsize == keys

@@ -586,6 +586,20 @@ def test_pool_blocks_follow_the_stream(capsys, monkeypatch, fake_pool):
         {(R, 4, r, 2)} for r in (1, 2) for R in cli._all_subsets(4)]
 
 
+@pytest.mark.parametrize("argv", [
+    ["prop41", "--n", "5", "--r", "1", "--r-set", "1,3", "--bound", "3"],
+    ["row", "--n", "2", "--k", "2"],
+], ids=["prop41", "row"])
+def test_lone_block_runs_without_a_pool(capsys, monkeypatch, argv):
+    # --jobs is a ceiling: a stream of one block runs in the main process
+    assert cli.main(["verify", *argv, "--jobs", "1"]) == 0
+    alone = capsys.readouterr().out
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("multiprocessing.Pool", lambda *args: pytest.fail("a pool started"))
+    assert cli.main(["verify", *argv, "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == alone
+
+
 @pytest.mark.parametrize("argv, digest", [
     ([], "cb9f19d4e1fdda2bee1b7a5eceae71f1a32e8f2a104cf45e9b1c3369888ea057"),
     (["verify"], "dd138fb1d15707d21070e830da2b7971a12adcddb984899ab119f1bda2dcf515"),

@@ -575,6 +575,12 @@ def _sha256(side):
 _SIDES = ("pochhammer_times_chain_side", "weighted_short_side")
 
 
+def _verdict_report(verdict):
+    """The report of a cached (passed, head, tail) verdict, whose params are null."""
+    passed, head, tail = verdict
+    return VerificationReport.from_line(passed, head + "null" + tail)
+
+
 def test_box_buckets_match_two_loop_enumeration():
     # The oracle walks every list with entries at most bound, so it also has
     # keys reached only by lists above the degree bound; both sides of those
@@ -586,7 +592,7 @@ def test_box_buckets_match_two_loop_enumeration():
         for R in all_subsets(n):
             expected = _two_loop_sides(R, n, r, bound)
             got, zero_verdict, prefix = identities._box_buckets(tuple(sorted(R)), n, r, bound)
-            assert zero_verdict[0].digests == dict.fromkeys(_SIDES, _sha256(zero))
+            assert _verdict_report(zero_verdict).digests == dict.fromkeys(_SIDES, _sha256(zero))
             # the params' JSON up to sigma's value
             params = {"R": sorted(R), "n": n, "r": r, "bound": bound, "sigma": []}
             assert prefix + "[]}" == canonical_json(params)
@@ -595,7 +601,7 @@ def test_box_buckets_match_two_loop_enumeration():
                 if key not in got:
                     assert sides == (zero, zero), (R, n, r, bound, key)
                     continue
-                verdict = got[key][0]
+                verdict = _verdict_report(got[key])
                 assert verdict.digests == dict(zip(_SIDES, map(_sha256, sides))), (
                     R, n, r, bound, key)
                 assert verdict.passed == (sides[0] == sides[1])
@@ -677,7 +683,7 @@ def _five(report):
 
 def test_key_report_lines_are_their_five_attributes(monkeypatch):
     # a failing verdict shared by two keys: each line is canonical JSON of
-    # that report's own five attributes, and edits reach no other line
+    # that report's own five attributes, and edits reach no line, not even its own
     failing = _failing_verdict()
     shared = identities._split(failing)
     cached = failing.to_json_line()
@@ -695,7 +701,7 @@ def test_key_report_lines_are_their_five_attributes(monkeypatch):
         report.counterexample["left"] = "edited"
         assert report.to_json_line() == line
         report.params["sigma"].reverse()
-        assert report.to_json_line() == canonical_json(_five(report)) != line
+        assert report.to_json_line() == canonical_json(_five(report)) == line
         lines.append(line)
     assert lines[0] != lines[1]
     assert lines == [
@@ -707,7 +713,7 @@ def test_key_report_lines_are_their_five_attributes(monkeypatch):
 
 def test_key_report_lines_need_no_params():
     # every key at n <= 4 (r <= 2, bound <= 3) and at n = 5 (r = 1, bound 3):
-    # the line is built without params, and reading them leaves it as it was
+    # the line is built from cached fragments, and its params are the key's
     shapes = [(n, r, bound) for n in range(1, 5) for r in (1, 2) for bound in range(4)]
     for n, r, bound in shapes + [(5, 1, 3)]:
         for R in all_subsets(n):
@@ -715,7 +721,6 @@ def test_key_report_lines_need_no_params():
                 for sigma in perm.symmetric_group(n):
                     report = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
                     line = report.to_json_line()
-                    assert "params" not in vars(report)
                     assert report.params == {"R": sorted(R), "n": n, "target": sorted(target),
                                              "sigma": list(sigma), "r": r, "bound": bound}
                     assert report.to_json_line() == line == canonical_json(_five(report))
@@ -823,7 +828,8 @@ def test_split_needs_null_params_once():
     for params, extra in [({"n": 2}, None), (None, {"params": None})]:
         with pytest.raises(ValueError, match="exactly once"):
             identities._split(VerificationReport("demo", params, "fail", digests, extra))
-    _, head, tail = identities._split(VerificationReport("demo", None, "pass", digests))
+    passed, head, tail = identities._split(VerificationReport("demo", None, "pass", digests))
+    assert passed is True
     assert head + canonical_json({"n": 2}) + tail == VerificationReport(
         "demo", {"n": 2}, "pass", digests).to_json_line()
 
@@ -889,8 +895,81 @@ def test_report_serialization_is_canonical():
     # the shared encoder writes the bytes of json.dumps with the same options
     assert line == '{"counterexample":null,"digests":{"a":"x"},"identity":"demo",' \
         '"params":{"n":2},"status":"pass"}'
-    assert line == json.dumps(vars(report), sort_keys=True, separators=(",", ":"))
+    assert line == json.dumps(_five(report), sort_keys=True, separators=(",", ":"))
     # nested keys are sorted at every level, with the same bytes as json.dumps
     nested = {"z": [1, {"b": None, "a": "x"}], "a": {"d": {"f": [], "e": "1"}, "c": True}}
     for obj in (nested, QPoly(2, 3, {(1, 0): 2, (0, 2): -1}).to_obj()):
         assert canonical_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _edit(value) -> None:
+    """Change every dict and list inside value in place."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _edit(item)
+        value["edited"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _edit(item)
+        value.append("edited")
+
+
+def _assert_reads_back(report, fields):
+    line = report.to_json_line()
+    assert _five(report) == fields
+    assert canonical_json(_five(report)) == line
+    for name in fields:
+        _edit(getattr(report, name))
+    assert report.to_json_line() == line
+    assert _five(report) == fields
+    with pytest.raises(AttributeError):
+        report.params = {}
+
+
+def test_every_suite_reads_back_what_its_driver_built(monkeypatch):
+    # one report per suite: its five attributes equal what the driver built,
+    # their canonical JSON is its line, and an edit to an attribute it returns
+    # reaches neither the line nor the next read
+    built = []
+
+    class Recording(VerificationReport):
+        def __init__(self, **fields):
+            built.append(fields)
+            super().__init__(**fields)
+
+    monkeypatch.setattr(identities, "VerificationReport", Recording)
+    for verify, args in [
+        (identities.verify_finite_evaluation, ((2, 1), 2)),
+        (identities.verify_kronecker_multiplicity, ((2, 1), 2)),
+        (identities.verify_fundamental_evaluation, ({1}, 3, 2)),
+        (identities.verify_row_case, (3, 2)),
+        (identities.verify_variable_reindex, ((2, 1), 1)),
+    ]:
+        report = verify(*args)
+        [fields] = built
+        built.clear()
+        _assert_reads_back(report, fields)
+    # prop41: two keys that share one verdict; the per-key comparison of the
+    # two-loop sides is what the driver builds from that verdict
+    R, n, r, bound = frozenset({1}), 3, 1, 2
+    table, _, _ = identities._box_buckets(R, n, r, bound)
+    by_verdict = {}
+    for key, verdict in table.items():
+        by_verdict.setdefault(id(verdict), []).append(key)
+    (sigma, target), (other_sigma, other_target) = next(
+        keys for keys in by_verdict.values() if len(keys) > 1)[:2]
+    sides = _two_loop_sides(R, n, r, bound)[sigma, target]
+    params = {"R": sorted(R), "n": n, "target": sorted(target), "sigma": list(sigma),
+              "r": r, "bound": bound}
+    built.clear()
+    _compare("injection_recursion", params, identities._chained(list(zip(_SIDES, sides))))
+    [fields] = built
+    built.clear()
+    report = identities.verify_injection_recursion(R, n, target, sigma, r, bound)
+    other = identities.verify_injection_recursion(R, n, other_target, other_sigma, r, bound)
+    other_line = other.to_json_line()
+    assert built == []  # a prop41 report is built from its verdict's line
+    _assert_reads_back(report, fields)
+    assert other.to_json_line() == other_line == identities.verify_injection_recursion(
+        R, n, other_target, other_sigma, r, bound).to_json_line()
+    assert {**_five(other), "params": None} == {**fields, "params": None}
