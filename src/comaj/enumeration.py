@@ -37,7 +37,8 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations
 
-from .qpoly import QPoly, Truncation, checked_truncation, q_factor, q_multinomial
+from .qpoly import (QPoly, Truncation, _unpack_rows, checked_truncation, q_factor,
+                    q_multinomial)
 from .tableaux import Partition, partition, standard_tableaux
 
 
@@ -62,6 +63,8 @@ def fundamental_principal_normalized(R, n: int, trunc: Truncation) -> QPoly:
 def _checked(R, n: int, trunc: Truncation) -> tuple[tuple[int, ...], int, Truncation]:
     """(sorted R, n, trunc) once R, n and trunc are valid, before any recursion."""
     Rf = frozenset(R)
+    if type(n) is not int or any(type(i) is not int for i in Rf):
+        raise ValueError(f"n and the entries of R must be ints, got n={n!r}, R={set(Rf)!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if any(not (1 <= i <= n - 1) for i in Rf):
@@ -88,32 +91,37 @@ def _cut_sum(R: tuple[int, ...], n: int, trunc: Truncation, ascent, blocks) -> Q
     """Sum over the ascent sets P of ascent's factor in q_k times the blocks' value.
 
     ascent(shift, cs, D) gives the (degree, coefficient) pairs of P's
-    factor, nonzero only and in increasing degree; blocks(signature,
-    Truncation(k - 1, D)) gives the blocks' value in q_1..q_{k-1}, and
-    each P adds their outer product.  At k = 1 the blocks' elements are
-    empty tuples: their one chain counts exactly when no block has an
-    inner R.
+    factor; blocks(signature, Truncation(k - 1, D)) gives the blocks' value
+    in q_1..q_{k-1}.  At k = 1 the blocks' elements are empty tuples: their
+    one chain counts exactly when no block has an inner R.  Each factor is
+    packed into one int of width-bit slots, slot d its coefficient of
+    q_k^d, and each inner term (e, c) adds c times it to the row of head e.
+    A slot sums at most one c f per P, so
+    W = bits(max|f|) + bits(max|c|) + bits(number of P) + 2 reads every
+    row back exactly, up to slot D - |e|.
     """
     k, D = trunc
-    acc: dict[tuple[int, ...], int] = defaultdict(int)
+    cuts = []
     for size in range(n):
         for P in combinations(range(1, n), size):
             shift = sum(n - i for i in P)
             if shift > D:
                 continue
-            factor = ascent(shift, (n, *(n - i for i in P)), D)
             signature = _block_signature(R, n, P)
             if k > 1:
-                inner = blocks(signature, Truncation(k - 1, D)).terms
+                inner = blocks(signature, Truncation(k - 1, D))._terms
             else:
                 inner = {} if any(r for r, _ in signature) else {(): 1}
-            for e, c in inner.items():
-                room = D - sum(e)
-                for d, f in factor:
-                    if d > room:
-                        break
-                    acc[(*e, d)] += c * f
-    return QPoly._trusted(k, D, acc)
+            cuts.append((ascent(shift, (n, *(n - i for i in P)), D), inner))
+    width = (max(abs(f) for factor, _ in cuts for _, f in factor).bit_length()
+             + max(max(map(abs, inner.values()), default=0) for _, inner in cuts).bit_length()
+             + len(cuts).bit_length() + 2)
+    rows: dict[tuple[int, ...], int] = defaultdict(int)
+    for factor, inner in cuts:
+        packed = sum(f << width * d for d, f in factor)
+        for e, c in inner.items():
+            rows[e] += c * packed
+    return QPoly._trusted(k, D, _unpack_rows(rows.items(), width, D, k - 1))
 
 
 def _ascent_factor(shift: int, cs: tuple[int, ...], D: int) -> list[tuple[int, int]]:

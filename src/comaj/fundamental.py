@@ -74,11 +74,11 @@ def unpack(value: int, n: int, k: int, width: int, collapsed: bool) -> QPoly:
     return QPoly._trusted(1 if collapsed else k, D, terms)
 
 
-# Cache bounds: 2^(n-1) descent classes for each n <= 8.  A value at j
-# variables is packed at the slot width of the caller's k >= j; for k <= 4
-# that is four (j, k) pairs at j = 1 and six at j >= 2, the latter full and
-# collapsed, so 16 values per class.
-_CLASSES = 2**8 - 1
+# Cache bounds: 2^(n-1) descent classes for each n <= 9, so 256 at n = 9.  A
+# value at j variables is packed at the slot width of the caller's k >= j; for
+# k <= 4 that is four (j, k) pairs at j = 1 and six at j >= 2, the latter full
+# and collapsed, so 16 values per class of every n <= 9.
+_CLASSES = 2**9 - 1
 
 
 @lru_cache(maxsize=16 * _CLASSES)

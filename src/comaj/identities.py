@@ -195,9 +195,9 @@ def graded_multiplicity_character(lam: Partition, k: int) -> QPoly:
     return exact_div(acc, order)
 
 
-# Cache bound: one table per (n, k) for n <= 8 and k <= 4, the sizes the
-# suites reach; each holds p(n) <= 22 one-variable series.
-@lru_cache(maxsize=32)
+# Cache bound: one table per (n, k) for the 36 pairs n <= 9 and k <= 4, the
+# sizes the suites reach; each holds p(n) <= 30 one-variable series.
+@lru_cache(maxsize=36)
 def _class_series(n: int, k: int) -> tuple[tuple[Partition, QPoly], ...]:
     """(mu, [(q;q)_n * prod 1/(1-q^{mu_i})]^k) for each cycle type mu of S_n."""
     trunc = Truncation(1, exact_degree_bound(n, k))

@@ -34,7 +34,6 @@ import hashlib
 import json
 from collections import defaultdict
 from functools import lru_cache
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -54,7 +53,12 @@ class Truncation(NamedTuple):
 
 
 def checked_truncation(k: int, D: int) -> Truncation:
-    """(k, D) as a Truncation, refused as QPoly refuses it."""
+    """(k, D) as a Truncation, refused as QPoly refuses it.
+
+    The types are checked first, since a cache takes 1, 1.0 and True for one key.
+    """
+    if type(k) is not int or type(D) is not int:
+        raise ValueError(f"k and D must be ints, got k={k!r}, D={D!r}")
     if k < 1 or D < 0:
         raise ValueError(f"need k >= 1 and D >= 0, got k={k}, D={D}")
     return Truncation(k, D)
@@ -171,7 +175,9 @@ class QPoly:
                 if db > room:
                     break
                 sums[ka + kb] += va * vb
-        return QPoly._trusted(self.k, D, _unpack_rows(sums, width, base, self.k - 1))
+        powers = [base**p for p in reversed(range(self.k - 1))]
+        rows = ((tuple([key // w % base for w in powers]), v) for key, v in sums.items())
+        return QPoly._trusted(self.k, D, _unpack_rows(rows, width, D, self.k - 1))
 
     def __rmul__(self, other) -> QPoly:
         if isinstance(other, int):
@@ -279,17 +285,18 @@ def _rows(terms: Mapping[tuple[int, ...], int], width: int, base: int) -> list[t
     return rows
 
 
-def _unpack_rows(sums: dict[int, int], width: int, base: int, head_len: int) -> dict:
-    """Exponent vector -> coefficient, reading each row sum in balanced width-bit digits."""
+def _unpack_rows(rows, width: int, D: int, at: int) -> dict:
+    """Exponent vector -> coefficient, reading each (head, row) in balanced width-bit digits.
+
+    Slot j of a row is the coefficient at the head with j inserted at
+    position ``at``; only the slots j <= D - |head| are read.
+    """
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     out: dict[tuple[int, ...], int] = {}
-    for key, v in sums.items():
-        head = ()
-        for _ in range(head_len):
-            key, x = divmod(key, base)
-            head = (x, *head)
-        for j in range(base - sum(head)):
+    for head, v in rows:
+        before, after = head[:at], head[at:]
+        for j in range(D + 1 - sum(head)):
             if not v:
                 break
             c = v & mask
@@ -297,7 +304,7 @@ def _unpack_rows(sums: dict[int, int], width: int, base: int, head_len: int) -> 
             if c >= half:
                 c -= mask + 1
                 v += 1
-            out[(*head, j)] = c
+            out[before + (j,) + after] = c
     return out
 
 
@@ -327,26 +334,26 @@ def pochhammer(var_index: int, n: int, trunc: Truncation) -> QPoly:
 def divide_factors(p: QPoly, var_index: int, cs) -> QPoly:
     """p / prod_{c in cs} (1 - q^c) at p.D, q the chosen variable.
 
-    Along each line of that variable, the other exponents fixed, dividing
-    by 1 - q^c is a prefix sum with stride c.
+    Each line of that variable, the other exponents fixed, is packed into
+    one int of width-bit slots and multiplied once by the packed series
+    prod_c 1/(1 - q^c).  The series is nonnegative, so a product slot lies
+    within max|line| times the series' coefficient sum, and
+    W = bits(max|p|) + bits(that sum) + 2 reads it back exactly.
     """
     if not 1 <= var_index <= p.k or min(cs, default=1) < 1:
         raise ValueError(f"bad variable {var_index} or factors {cs!r}")
-    i = var_index - 1
-    lines = {}
+    i, D = var_index - 1, p.D
+    series = [1] + [0] * D
+    for c in cs:
+        for d in range(c, D + 1):
+            series[d] += series[d - c]
+    width = max(map(abs, p._terms.values()), default=0).bit_length() + sum(series).bit_length() + 2
+    packed = sum(s << width * d for d, s in enumerate(series))
+    lines: dict[tuple[int, ...], int] = defaultdict(int)
     for e, c in p._terms.items():
-        rest = e[:i] + e[i + 1:]
-        if rest not in lines:
-            lines[rest] = [0] * (p.D + 1 - sum(rest))
-        lines[rest][e[i]] = c
-    out = {}
-    for rest, line in lines.items():
-        for c in cs:
-            for r in range(min(c, len(line) - c)):
-                line[r::c] = accumulate(line[r::c])
-        for d, c in enumerate(line):
-            out[(*rest[:i], d, *rest[i:])] = c
-    return QPoly._trusted(p.k, p.D, out)
+        lines[e[:i] + e[i + 1:]] += c << width * e[i]
+    rows = ((rest, line * packed) for rest, line in lines.items())
+    return QPoly._trusted(p.k, D, _unpack_rows(rows, width, D, i))
 
 
 # Cache bound: one (n, k) run at n <= 8 reads at most 357 factors: 255 ascent

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -133,6 +134,69 @@ def test_outer_products_match_product_form():
                         assert got == _product_chains(R, n, k, trunc), (R, n, trunc)
 
 
+def _cut_sum_by_terms(R, n, trunc, ascent, blocks) -> QPoly:
+    """The P-partition sum adding each cut's outer product one term at a time."""
+    k, D = trunc
+    acc = defaultdict(int)
+    for size in range(n):
+        for P in itertools.combinations(range(1, n), size):
+            shift = sum(n - i for i in P)
+            if shift > D:
+                continue
+            factor = ascent(shift, (n, *(n - i for i in P)), D)
+            signature = enumeration._block_signature(R, n, P)
+            if k > 1:
+                inner = blocks(signature, Truncation(k - 1, D)).terms
+            else:
+                inner = {} if any(r for r, _ in signature) else {(): 1}
+            for e, c in inner.items():
+                room = D - sum(e)
+                for d, f in factor:
+                    if d > room:
+                        break
+                    acc[(*e, d)] += c * f
+    return QPoly(k, D, acc)
+
+
+_FACTOR_SETS = {
+    "series": (enumeration._ascent_factor, enumeration._block_product),
+    "normalized": (enumeration._normalized_ascent, enumeration._normalized_block_product),
+}
+
+
+@pytest.mark.parametrize("factors", _FACTOR_SETS.values(), ids=_FACTOR_SETS)
+def test_packed_cut_sum_matches_the_term_loop(factors):
+    for n in range(1, 5):
+        for k in range(1, 4):
+            bound = k * n * (n - 1) // 2
+            for D in sorted({0, bound // 2, bound}):
+                t = Truncation(k, D)
+                for size in range(n):
+                    for R in itertools.combinations(range(1, n), size):
+                        expected = _cut_sum_by_terms(R, n, t, *factors)
+                        assert enumeration._cut_sum(R, n, t, *factors) == expected, (R, n, t)
+
+
+@pytest.mark.parametrize("f, c", [(2**200 - 1, 2**200 - 3), (-(2**200 - 1), 2**200 - 3),
+                                  (2**200 - 1, -(2**200 - 1)), (1, 1)],
+                         ids=["big", "negative-f", "negative-c", "one"])
+def test_packed_cut_sum_slots_hold_their_largest_sums(f, c):
+    # every cut adds +-f c to every slot; at n = 4, D = 5 keeps 7 of the 8
+    # cuts, so a sum reaches 7 |f c|, more than half of 2^(bits(f c) + bits(7))
+    def ascent(shift, cs, D):
+        return [(d, f if d % 3 else -f) for d in range(D + 1)]
+
+    def blocks(signature, trunc):
+        return QPoly(*trunc, {e: c for e in itertools.product(range(trunc.D + 1), repeat=trunc.k)
+                              if sum(e) <= trunc.D})
+
+    for k, D in ((2, 5), (3, 5), (3, 6)):
+        t = Truncation(k, D)
+        for R in ((), (2,), (1, 3)):
+            expected = _cut_sum_by_terms(R, 4, t, ascent, blocks)
+            assert enumeration._cut_sum(R, 4, t, ascent, blocks) == expected, (R, t)
+
+
 def test_import_does_not_load_numpy():
     src = os.path.dirname(os.path.dirname(comaj.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -159,6 +223,20 @@ def test_invalid_descent_positions():
             entry(frozenset({3}), 2, Truncation(1, 3))
         with pytest.raises(ValueError, match="need n >= 1, got 0"):
             entry(frozenset(), 0, Truncation(1, 3))
+
+
+def test_entries_refuse_values_a_cache_would_take_for_ints():
+    # True == 1 and 2.0 == 2, so a cache would key them as the ints they equal
+    t = Truncation(2, 3)
+    enumeration._chains.cache_clear()
+    for entry in (fundamental_principal_series, fundamental_principal_normalized):
+        for R, n in (({True}, 2), ((1.0,), 2), ((), True), ((), 2.0)):
+            with pytest.raises(ValueError, match="n and the entries of R must be ints"):
+                entry(R, n, t)
+        for trunc in ((2, True), (True, 3), (2, 3.0)):
+            with pytest.raises(ValueError, match="k and D must be ints"):
+                entry((), 2, trunc)
+    assert enumeration._chains.cache_info().misses == 0
 
 
 def test_entries_refuse_bad_truncations():

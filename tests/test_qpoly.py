@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from math import factorial
 
 import pytest
@@ -439,6 +440,50 @@ def test_division_undoes_pochhammer_all(p, n):
     for j in (1, 2):
         product = divide_factors(product, j, range(1, n + 1))
     assert product == p
+
+
+def _divide_by_prefix_sums(p: QPoly, var_index: int, cs) -> QPoly:
+    """p / prod_{c in cs} (1 - q^c): one strided prefix sum per line and factor."""
+    i = var_index - 1
+    lines = {}
+    for e, c in p.terms.items():
+        rest = e[:i] + e[i + 1:]
+        lines.setdefault(rest, [0] * (p.D + 1 - sum(rest)))[e[i]] = c
+    out = {}
+    for rest, line in lines.items():
+        for c in cs:
+            for r in range(min(c, len(line) - c)):
+                line[r::c] = itertools.accumulate(line[r::c])
+        for d, c in enumerate(line):
+            out[(*rest[:i], d, *rest[i:])] = c
+    return QPoly(p.k, p.D, out)
+
+
+def test_packed_division_matches_prefix_sums():
+    # coefficients near +-2^200: equal signs on whole polynomials, whose last
+    # slots reach max|p| times the series' coefficient sum, and mixed signs
+    rng = random.Random(5)
+    big = 2**200
+    for k, D in ((1, 12), (2, 7), (3, 5)):
+        vectors = [e for e in itertools.product(range(D + 1), repeat=k) if sum(e) <= D]
+        polys = [QPoly(k, D, {e: sign * (big - 1) for e in vectors}) for sign in (1, -1)]
+        polys += [QPoly(k, D, {e: rng.choice((1, -1)) * (big - rng.randrange(3)) for e in vectors
+                               if rng.random() < 0.8}) for _ in range(3)]
+        polys += [QPoly(k, D, {e: rng.randint(-3, 3) for e in vectors}), QPoly.zero(k, D)]
+        for p in polys:
+            for j in range(1, k + 1):
+                for cs in ((), (1,), (2, 3), range(1, 5), (D + 1,), (1, 1, 2)):
+                    assert divide_factors(p, j, cs) == _divide_by_prefix_sums(p, j, cs), (j, cs)
+
+
+@pytest.mark.parametrize("k, D", [(True, 3), (2, True), (2.0, 3), (2, 3.0)])
+def test_truncations_refuse_values_a_cache_would_take_for_ints(k, D):
+    # True == 1 and 3.0 == 3, so a cached value would keep them: QPoly(True, 3)
+    # printed "k":true in its JSON
+    with pytest.raises(ValueError, match="k and D must be ints"):
+        QPoly(k, D, {(1,): 1})
+    with pytest.raises(ValueError, match="k and D must be ints"):
+        qpoly.checked_truncation(k, D)
 
 
 def test_divide_factors_refuses_bad_arguments():
