@@ -183,8 +183,8 @@ def schur_principal_by_tableaux(lam: Partition, trunc: Truncation) -> QPoly:
     lam = partition(lam)
     n = sum(lam)
     trunc = checked_truncation(*trunc)
-    acc: Counter = Counter()
+    acc: dict[tuple[int, ...], int] = {}
     for R, m in Counter(T.descent_set() for T in standard_tableaux(lam)).items():
         for e, c in fundamental_principal_series(R, n, trunc).terms.items():
-            acc[e] += m * c
+            acc[e] = acc.get(e, 0) + m * c
     return QPoly._trusted(trunc.k, trunc.D, acc)

@@ -22,6 +22,7 @@ from .qpoly import (
     canonical_json,
     collapse,
     exact_div,
+    graded_lex,
     pochhammer,
     schur_normalized_jt,
     schur_principal_jt,
@@ -67,8 +68,7 @@ class VerificationReport:
 
 
 def _first_difference(a: QPoly, b: QPoly) -> dict | None:
-    keys = sorted(set(a.terms) | set(b.terms), key=lambda e: (sum(e), e))
-    for e in keys:
+    for e in graded_lex(a.terms.keys() | b.terms.keys()):
         ca, cb = a.coeff(e), b.coeff(e)
         if ca != cb:
             return {"exponent": list(e), "left": str(ca), "right": str(cb)}

@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple
 
 from .tableaux import partition
 
-# The one JSON encoder of comaj's output: polynomials, report lines and --format json.
+# The JSON encoder of report lines and --format json; QPoly.to_json writes its bytes directly.
 # Everything it encodes is a fresh acyclic tree, so it skips the cycle check.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                   check_circular=False).encode
@@ -74,25 +74,26 @@ class QPoly:
         # Zero coefficients are dropped here and in _trusted, never by the callers.
         clean: dict[tuple[int, ...], int] = {}
         for e, c in (terms or {}).items():
-            if c == 0:
-                continue
+            if type(c) is not int or not all(type(x) is int for x in e):
+                raise ValueError(f"exponents and coefficients must be ints, got {e!r}: {c!r}")
             if len(e) != k or min(e) < 0:
                 raise ValueError(f"bad exponent vector for k={k}: {e!r}")
-            if sum(e) <= D:
+            if c and sum(e) <= D:
                 clean[e] = c
         self._terms = clean
 
     @classmethod
     def _trusted(cls, k: int, D: int, terms: Mapping[tuple[int, ...], int]) -> QPoly:
-        """A QPoly over terms whose exponents the caller built valid for (k, D).
+        """A QPoly over int terms whose exponents the caller built valid for (k, D).
 
-        Only zero coefficients are dropped; the terms are copied, so the
-        caller may reuse its dict.
+        A plain dict without a zero coefficient becomes the QPoly's own, so
+        the caller hands over a fresh dict and never touches it again; any
+        other mapping is copied without its zeros.
         """
+        if type(terms) is not dict or 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
         p = object.__new__(cls)
-        p.k = k
-        p.D = D
-        p._terms = {e: c for e, c in terms.items() if c}
+        p.k, p.D, p._terms = k, D, terms
         return p
 
     @property
@@ -199,8 +200,8 @@ class QPoly:
         return self._terms == other._terms
 
     def rebound(self, D: int) -> QPoly:
-        """Same polynomial under a new degree bound (truncating if smaller)."""
-        return QPoly(self.k, D, self._terms)
+        """Same polynomial under a new degree bound: terms shared if not smaller, else truncated."""
+        return (QPoly._trusted if type(D) is int and D >= self.D else QPoly)(self.k, D, self._terms)
 
     def permute_variables(self, images: tuple[int, ...]) -> QPoly:
         """Send q_i to q_{images[i-1]} (images is a permutation of 1..k)."""
@@ -212,17 +213,14 @@ class QPoly:
             for pos, x in enumerate(e):
                 new[images[pos] - 1] = x
             out[tuple(new)] = c
-        return QPoly(self.k, self.D, out)
+        return QPoly._trusted(self.k, self.D, out)
 
     def set_variable_to_zero(self, index: int) -> QPoly:
         """Keep only terms with exponent 0 on q_index (1-based)."""
         if not 1 <= index <= self.k:
             raise ValueError(f"variable index out of range 1..{self.k}: {index}")
-        return QPoly(
-            self.k,
-            self.D,
-            {e: c for e, c in self._terms.items() if e[index - 1] == 0},
-        )
+        kept = {e: c for e, c in self._terms.items() if e[index - 1] == 0}
+        return QPoly._trusted(self.k, self.D, kept)
 
     def drop_variable(self, index: int) -> QPoly:
         """Remove a variable that no term uses (1-based index)."""
@@ -232,27 +230,18 @@ class QPoly:
             raise ValueError(f"variable index out of range 1..{self.k}: {index}")
         if any(e[index - 1] != 0 for e in self._terms):
             raise ValueError(f"terms still use q_{index}")
-        return QPoly(
-            self.k - 1,
-            self.D,
-            {e[: index - 1] + e[index:]: c for e, c in self._terms.items()},
-        )
+        kept = {e[:index - 1] + e[index:]: c for e, c in self._terms.items()}
+        return QPoly._trusted(self.k - 1, self.D, kept)
 
     def graded_items(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms sorted in graded lexicographic order."""
-        return sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]))
-
-    def to_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "D": self.D,
-            "terms": [
-                {"e": list(e), "c": str(c)} for e, c in self.graded_items()
-            ],
-        }
+        return [(e, self._terms[e]) for e in graded_lex(self._terms)]
 
     def to_json(self) -> str:
-        return canonical_json(self.to_obj())
+        """canonical_json of {"D", "k", "terms": [{"c": str(c), "e": list(e)}, ...]}, graded-lex."""
+        term = '{"c":"%d","e":[' + ",".join(["%d"] * self.k) + "]}"
+        body = ",".join([term % (c, *e) for e, c in self.graded_items()])
+        return f'{{"D":{self.D},"k":{self.k},"terms":[{body}]}}'
 
     def digest(self) -> str:
         """sha256 of ``to_json()``."""
@@ -267,6 +256,13 @@ class QPoly:
             parts.append(f"{c}{'*' + mono if mono else ''}")
         tail = " + ..." if len(self._terms) > 8 else ""
         return f"QPoly(k={self.k}, D={self.D}, {' + '.join(parts)}{tail})"
+
+
+def graded_lex(exponents) -> list[tuple[int, ...]]:
+    """The exponent vectors sorted by total degree, then lexicographically."""
+    keys = sorted(exponents)
+    keys.sort(key=sum)
+    return keys
 
 
 def _rows(terms: Mapping[tuple[int, ...], int], width: int, base: int) -> list[tuple[int, int, int]]:
@@ -286,7 +282,7 @@ def _rows(terms: Mapping[tuple[int, ...], int], width: int, base: int) -> list[t
 
 
 def _unpack_rows(rows, width: int, D: int, at: int) -> dict:
-    """Exponent vector -> coefficient, reading each (head, row) in balanced width-bit digits.
+    """Exponent vector -> nonzero coefficient, each (head, row) read as balanced width-bit digits.
 
     Slot j of a row is the coefficient at the head with j inserted at
     position ``at``; only the slots j <= D - |head| are read.
@@ -304,7 +300,8 @@ def _unpack_rows(rows, width: int, D: int, at: int) -> dict:
             if c >= half:
                 c -= mask + 1
                 v += 1
-            out[before + (j,) + after] = c
+            if c:
+                out[before + (j,) + after] = c
     return out
 
 

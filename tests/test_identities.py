@@ -898,8 +898,12 @@ def test_report_serialization_is_canonical():
     assert line == json.dumps(_five(report), sort_keys=True, separators=(",", ":"))
     # nested keys are sorted at every level, with the same bytes as json.dumps
     nested = {"z": [1, {"b": None, "a": "x"}], "a": {"d": {"f": [], "e": "1"}, "c": True}}
-    for obj in (nested, QPoly(2, 3, {(1, 0): 2, (0, 2): -1}).to_obj()):
+    # the object tree of a polynomial, as the object_tree oracle in test_qpoly.py builds it
+    poly = QPoly(2, 3, {(1, 0): 2, (0, 2): -1})
+    tree = {"k": 2, "D": 3, "terms": [{"e": [1, 0], "c": "2"}, {"e": [0, 2], "c": "-1"}]}
+    for obj in (nested, tree):
         assert canonical_json(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert canonical_json(tree) == poly.to_json()
 
 
 def _edit(value) -> None:

@@ -2,12 +2,13 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter, defaultdict
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comaj import qpoly
+from comaj import cli, enumeration, qpoly
 from comaj.characters import centralizer_size
 from comaj.qpoly import (
     QPoly,
@@ -160,6 +161,8 @@ def test_kernel_outputs_are_in_normal_form(pair, m):
 
 
 def test_trusted_value_is_a_copy_of_its_source():
+    # a dict that holds a zero is copied; test_trusted_results_hold_no_zero_and_a_plain_dict
+    # checks that a zero-free plain dict is kept
     source = {(0, 0): 1, (1, 0): 0, (0, 2): -4}
     p = QPoly._trusted(2, 3, source)
     assert dict(p.terms) == {(0, 0): 1, (0, 2): -4}
@@ -530,9 +533,19 @@ def test_collapse():
     assert collapse(QPoly.one(2, 3)) == QPoly.one(1, 3)
 
 
+def object_tree(p: QPoly) -> dict:
+    """The oracle of ``to_json``: its bytes are canonical_json of this tree."""
+    return {
+        "k": p.k,
+        "D": p.D,
+        "terms": [{"e": list(e), "c": str(c)}
+                  for e, c in sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]))],
+    }
+
+
 def test_serialization_schema_and_stability():
     p = QPoly(2, 4, {(2, 0): 3, (0, 1): -2, (0, 0): 10**20})
-    obj = p.to_obj()
+    obj = object_tree(p)
     assert obj["k"] == 2 and obj["D"] == 4
     assert obj["terms"] == [
         {"e": [0, 0], "c": str(10**20)},
@@ -560,8 +573,43 @@ def test_digest_is_sha256_of_json():
 
 def test_graded_lex_term_order():
     p = QPoly(2, 4, {(0, 2): 1, (2, 0): 1, (1, 1): 1, (1, 0): 1})
-    exps = [tuple(item["e"]) for item in p.to_obj()["terms"]]
+    exps = [tuple(item["e"]) for item in json.loads(p.to_json())["terms"]]
     assert exps == [(1, 0), (0, 2), (1, 1), (2, 0)]
+    assert [e for e, _ in p.graded_items()] == exps
+
+
+def _random_qpoly(rng: random.Random, k: int, D: int) -> QPoly:
+    big = 2**200
+    terms = {}
+    for _ in range(rng.randint(0, 40)):
+        e = tuple(rng.randint(0, D) for _ in range(k))
+        terms[e] = rng.choice([rng.randint(-9, 9), big + rng.randint(-3, 3), -big - rng.randint(-3, 3)])
+    return QPoly(k, D, {e: c for e, c in terms.items() if sum(e) <= D})
+
+
+def _series_round_polys(monkeypatch, capsys) -> list[QPoly]:
+    """Every polynomial that one round of perfbench's series units digests."""
+    seen = []
+    digest = QPoly.digest
+    monkeypatch.setattr(QPoly, "digest", lambda p: seen.append(p) or digest(p))
+    for lam in ("4", "3,1", "2,2", "2,1,1", "1,1,1,1"):
+        assert cli.main(["verify", "finite", "--k", "3", "--lambda", lam, "--jobs", "1"]) == 0
+    for size in range(4):
+        for R in itertools.combinations(range(1, 4), size):
+            argv = ["verify", "quasi", "--n", "4", "--k", "3", "--r-set", ",".join(map(str, R))]
+            assert cli.main([*argv, "--jobs", "1"]) == 0
+    capsys.readouterr()
+    return seen
+
+
+def test_to_json_matches_the_object_tree(monkeypatch, capsys):
+    rng = random.Random(35)
+    polys = [_random_qpoly(rng, k, D) for k in range(1, 5) for D in range(13) for _ in range(6)]
+    polys += [QPoly.zero(1, 0), QPoly.zero(4, 12), QPoly.one(3, 0), QPoly(2, 5, {(3, 2): -(2**200)})]
+    series = _series_round_polys(monkeypatch, capsys)
+    assert len(series) >= 13  # at least one report per unit
+    for p in polys + series:
+        assert p.to_json() == qpoly.canonical_json(object_tree(p)), p
 
 
 def test_cached_terms_are_read_only():
@@ -580,6 +628,55 @@ def test_rebound():
     assert up.D == 8 and up.coeff((5,)) == 2
     down = p.rebound(3)
     assert down.terms == {(1,): 1}
+
+
+def test_rebound_shares_upward_and_filters_downward():
+    p = QPoly(2, 5, {(5, 0): 2, (1, 0): 1, (0, 0): -3})
+    for D in (5, 9):
+        up = p.rebound(D)
+        assert up.D == D and up._terms is p._terms
+        with pytest.raises(TypeError):
+            up.terms[(0, 0)] = 7
+        assert up.digest() == QPoly(2, D, dict(p.terms)).digest()
+    down = p.rebound(3)
+    assert down.D == 3 and dict(down.terms) == {(1, 0): 1, (0, 0): -3}
+    assert p.coeff((5, 0)) == 2 and len(p.terms) == 3
+    for D in (True, 6.0, 3.0):
+        with pytest.raises(ValueError, match="k and D must be ints"):
+            p.rebound(D)
+    with pytest.raises(ValueError, match="need k >= 1 and D >= 0"):
+        p.rebound(-1)
+
+
+def test_trusted_results_hold_no_zero_and_a_plain_dict():
+    t = Truncation(2, 6)
+    a = QPoly(2, 6, {(0, 0): 1, (1, 0): 1})
+    b = QPoly(2, 6, {(0, 0): 1, (1, 0): -1})
+    cases = [
+        (a * b, (1, 0)),
+        (a + (-a), (0, 0)),
+        (a - a, (1, 0)),
+        (divide_factors(pochhammer_all(2, t), 1, (1, 2)), (1, 0)),
+        (enumeration._normalized_chains((1,), 3, t), (7, 0)),
+        (enumeration.schur_principal_by_tableaux((2, 1), t), (0, 0)),
+        (QPoly._trusted(2, 6, Counter({(0, 1): 2, (1, 0): 0})), (1, 0)),
+        (QPoly._trusted(2, 6, defaultdict(int, {(0, 1): 2})), (0, 0)),
+    ]
+    for p, missing in cases:
+        assert type(p._terms) is dict
+        assert 0 not in p._terms.values()
+        with pytest.raises(KeyError):
+            p.terms[missing]
+    assert (a * b).terms == {(0, 0): 1, (2, 0): -1}
+    assert (a + (-a)).is_zero()
+    fresh = {(0, 1): 2}
+    assert QPoly._trusted(2, 6, fresh)._terms is fresh
+
+
+@pytest.mark.parametrize("terms", [{(True,): 1}, {(1.0,): 1}, {(1,): 2.5}, {(1,): True}, {(0,): 0.0}])
+def test_constructor_refuses_non_int_exponents_and_coefficients(terms):
+    with pytest.raises(ValueError, match="exponents and coefficients must be ints"):
+        QPoly(1, 3, terms)
 
 
 def test_variable_helpers():
